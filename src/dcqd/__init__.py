@@ -8,128 +8,26 @@ reconstructs the process matrix of the unknown channel directly from
 syndrome statistics.
 """
 
-from .analysis import (
-    ChiDistance,
-    FailureOracle,
-    FailureRateReport,
-    FidelityResult,
-    WeightClassCounts,
-    apply_single_qubit_block,
-    binomial_weight_probability,
-    channel_fidelity_vs_theory,
-    chi_distance_report,
-    clamped_state,
-    failure_oracle,
-    failure_rate_experiment,
-    fidelity,
-    loglog_slope,
-    single_qubit_block,
-)
-from .channels import (
-    QuantumChannel,
-    amplitude_damping,
-    apply,
-    channel_from_spec,
-    compose,
-    depolarizing,
-    identity_channel,
-    pauli_unitary_channel,
-    theoretical_chi_ad,
-)
-from .codes import (
-    CodeConstructionError,
-    ErrorPartition,
-    HammingBoundResult,
-    StabilizerCode,
-    Syndrome,
-    UnsupportedCodeError,
-    build_s0,
-    build_s1,
-    build_s422,
-    code_from_json,
-    code_to_json,
-    codeword,
-    codeword_state,
-    concatenate_ancilla,
-    destabilizers,
-    located_error_table,
-    located_hamming_bound,
-    located_syndrome_index,
-    partition_error_set,
-    qec_condition_matrix,
-    syndrome_of_error,
-)
-from .config import (
-    BACKENDS,
-    CODE_SCENARIOS,
-    DEFAULTS,
-    SCENARIOS,
-    ConfigError,
-    ExperimentConfig,
-    load_config_file,
-    merge_settings,
-)
-from .pauli import (
-    DimensionMismatchError,
-    MatrixSizeError,
-    PauliOperator,
-    PauliParseError,
-    adjoint,
-    commutes,
-    format_pauli,
-    identity,
-    multiply,
-    parse_pauli,
-    single_site,
-    support,
-    tensor,
-    to_matrix,
-    weight,
-)
-from .process_matrix import (
-    BASIS_INDEX,
-    BASIS_LABELS,
-    ProcessMatrix,
-    apply_process,
-    basis_matrices,
-    basis_paulis,
-)
-from .protocol import (
-    CharacterizationResult,
-    IncompleteDataError,
-    PreprocessingKind,
-    PreprocessingOp,
-    ShotRecord,
-    SyndromeHistogram,
-    characterize,
-    estimate_diagonal,
-    estimate_offdiagonal,
-    filter_accept,
-    partial_characterize,
-    prepare_probe,
-    preprocessing_unitary,
-    resolve_scenario,
-    run_setting,
-    run_shot,
-    setting_distribution,
-    standard_settings,
-    syndrome_basis,
-)
-from .states import (
-    ContractViolationError,
-    DensityMatrix,
-    ImpossibleOutcomeError,
-    InvalidStateError,
-    MeasurementRecord,
-    apply_channel,
-    apply_unitary,
-    basis_state,
-    dump_matrix_csv,
-    expectation,
-    measure_generator,
-    partial_trace,
-    pure_state,
-    set_strict_validation,
-)
+from .analysis import channel_fidelity_vs_theory, failure_oracle, failure_rate_experiment
+from .channels import theoretical_chi_ad
+from .codes import build_s0, build_s1
+from .config import ConfigError, ExperimentConfig
+from .process_matrix import ProcessMatrix
+from .protocol import characterize, partial_characterize
+
+__all__ = [
+    "ExperimentConfig",
+    "ConfigError",
+    "characterize",
+    "partial_characterize",
+    "channel_fidelity_vs_theory",
+    "failure_rate_experiment",
+    "failure_oracle",
+    "build_s0",
+    "build_s1",
+    "theoretical_chi_ad",
+    "ProcessMatrix",
+    "__version__",
+]
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .codes import StabilizerCode, build_s1, syndrome_of_error
 from .pauli import PauliOperator
 from .process_matrix import ProcessMatrix
 from .rng import scoped_generator
-from .states import DensityMatrix, InvalidStateError
+from .states import InvalidStateError
 
 __all__ = [
     "FidelityResult",
@@ -37,8 +37,6 @@ __all__ = [
     "FailureOracle",
     "FailureRateReport",
     "ChiDistance",
-    "fidelity",
-    "clamped_state",
     "single_qubit_block",
     "apply_single_qubit_block",
     "channel_fidelity_vs_theory",
@@ -94,53 +92,6 @@ def _fidelity_core(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(overlap, ord="nuc"))
 
 
-def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """State fidelity: the trace norm of sqrt(rho) sqrt(sigma).
-
-    Inputs may carry eigenvalues as low as -1e-9 (clamped, trace
-    renormalized); anything more negative raises InvalidStateError.
-    """
-    if rho.n != sigma.n:
-        raise ValueError(f"dimension mismatch: {rho.n} vs {sigma.n} qubits")
-    mats = []
-    for state in (rho, sigma):
-        clean = _clamped_psd(state.data, FIDELITY_EIG_TOL)
-        mats.append(clean / clean.trace().real)
-    return _fidelity_core(mats[0], mats[1])
-
-
-def clamped_state(matrix: np.ndarray) -> DensityMatrix:
-    """Make an almost-a-state matrix into a valid DensityMatrix.
-
-    Sampled process estimates produce outputs whose eigenvalues dip
-    below zero at the statistical-noise scale.  Those are clamped to
-    zero and the trace renormalized; a dip beyond 1e-3 (possible at very
-    low shot counts) triggers a warning because the estimate is then too
-    noisy to score meaningfully.
-    """
-    arr = np.asarray(matrix, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got {arr.shape}")
-    n = int(math.log2(arr.shape[0]))
-    if 2**n != arr.shape[0]:
-        raise ValueError(f"side {arr.shape[0]} is not a power of two")
-    herm = (arr + arr.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    if vals[0] < -SEVERE_NEGATIVE_EIG:
-        warnings.warn(
-            f"clamping severely negative eigenvalue {vals[0]:.3e}; "
-            "the estimate is dominated by sampling noise",
-            stacklevel=2,
-        )
-    vals = np.clip(vals, 0.0, None)
-    rebuilt = (vecs * vals) @ vecs.conj().T
-    tr = rebuilt.trace().real
-    if tr <= 0.0:
-        raise InvalidStateError("matrix has no positive mass after clamping")
-    rebuilt = (rebuilt + rebuilt.conj().T) / 2.0 / tr
-    return DensityMatrix(n, rebuilt)
-
-
 _PAULI_1Q = (
     np.eye(2, dtype=np.complex128),
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -181,10 +132,12 @@ def channel_fidelity_vs_theory(chi_hat: ProcessMatrix, gamma: float) -> Fidelity
     """Fidelity of the estimated channel against the damping closed form.
 
     Both single-qubit-block maps act on |0><0| and the outputs are
-    compared by the trace-norm fidelity.  The estimated output keeps its
-    raw trace (eigenvalues clamped at zero, severe dips warned about via
-    clamped-state policy), so both syndrome-record corruption inside the
-    block and mass scattered outside it lower the score.
+    compared by the trace-norm fidelity.  The estimated output has its
+    negative eigenvalues clamped to zero (a dip below -1e-3 warns) and
+    keeps a trace deficit, so both syndrome-record corruption inside the
+    block and mass scattered outside it lower the score.  Excess trace,
+    which finite-shot noise and the clamping can produce, is scaled
+    away: by Cauchy-Schwarz the score then never exceeds one.
     """
     rho_in = np.diag([1.0, 0.0]).astype(np.complex128)
     raw = apply_single_qubit_block(chi_hat, rho_in)
@@ -196,6 +149,7 @@ def channel_fidelity_vs_theory(chi_hat: ProcessMatrix, gamma: float) -> Fidelity
             stacklevel=2,
         )
     cleaned = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    cleaned = cleaned / max(1.0, cleaned.trace().real)
     reference = apply_single_qubit_block(theoretical_chi_ad(gamma), rho_in)
     value = _fidelity_core(cleaned, _clamped_psd(reference, FIDELITY_EIG_TOL))
     return FidelityResult(
@@ -259,12 +213,6 @@ class FailureOracle:
         return sum(
             float(c) * binomial_weight_probability(p, w + 1, self.ancilla_size)
             for w, c in enumerate(self.failure_coefficients)
-        )
-
-    def analytic_corrupting_rate(self, p: float) -> float:
-        return sum(
-            float(c) * binomial_weight_probability(p, w + 1, self.ancilla_size)
-            for w, c in enumerate(self.corrupting_coefficients)
         )
 
 

@@ -53,6 +53,8 @@ __all__ = ["main"]
 
 GOLDEN_TABLE = "data/located_error_table.csv"
 DEFAULT_SWEEP_GRID = "0.02,0.05,0.1,0.2,0.3"
+# the sweep draws ancilla noise only, at the strengths of --p-values
+SWEEP_KEYS = ("shots", "seed")
 
 
 def _real(value: float) -> str:
@@ -80,14 +82,19 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _build_config(args, scenario_override: str | None = None) -> ExperimentConfig:
-    cli_values = {
-        key: getattr(args, key, None)
-        for key in ("scenario", "gamma", "p", "shots", "seed", "backend", "workers")
-    }
-    if scenario_override is not None:
-        cli_values["scenario"] = scenario_override
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else None
+def _build_config(args, keys=tuple(DEFAULTS), scenario: str | None = None) -> ExperimentConfig:
+    """Merge defaults, the --config file and the flags named by ``keys``.
+
+    A file key outside ``keys`` would be silently ignored, so it is a
+    configuration error.
+    """
+    file_values = load_config_file(args.config) if args.config else {}
+    unused = sorted(set(file_values) - set(keys))
+    if unused:
+        raise ConfigError(f"config keys {unused} do not apply to {args.command}")
+    cli_values = {key: getattr(args, key) for key in keys}
+    if scenario is not None:
+        cli_values["scenario"] = scenario
     return merge_settings(file_values, cli_values)
 
 
@@ -167,7 +174,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_failure_sweep(args) -> int:
-    config = _build_config(args, scenario_override="failure_sweep")
+    config = _build_config(args, SWEEP_KEYS, scenario="failure_sweep")
     try:
         p_values = [float(tok) for tok in args.p_values.split(",") if tok.strip()]
     except ValueError as exc:
@@ -261,13 +268,14 @@ def _selftest_checks():
             return f"weight-one ancilla error leaked {hist.accepted} accepted mass"
         return None
 
-    def check_determinism():
-        cfg = dict(scenario="s1_noisy", gamma=0.4, p=0.1, shots=20_000, seed=99, backend="sampling")
-        a = characterize(ExperimentConfig(**cfg, workers=1))
-        b = characterize(ExperimentConfig(**cfg, workers=3))
+    def check_rerun():
+        cfg = ExperimentConfig(
+            scenario="s1_noisy", gamma=0.4, p=0.1, shots=20_000, seed=99, backend="sampling"
+        )
+        a, b = characterize(cfg), characterize(cfg)
         for ha, hb in zip(a.histograms, b.histograms):
             if not np.array_equal(ha.counts, hb.counts):
-                return f"worker counts diverge in setting {ha.setting.label}"
+                return f"rerun counts diverge in setting {ha.setting.label}"
         return None
 
     return [
@@ -276,7 +284,7 @@ def _selftest_checks():
         ("exact-backend reconstruction", check_exact_identity),
         ("failure oracle counts", check_oracle),
         ("ancilla filter soundness", check_filter),
-        ("worker determinism", check_determinism),
+        ("same-config rerun", check_rerun),
     ]
 
 
@@ -294,16 +302,11 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, with_scenario: bool) -> None:
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with experiment settings")
-    if with_scenario:
-        parser.add_argument("--scenario", choices=CODE_SCENARIOS, help="noise scenario to run")
-    parser.add_argument("--gamma", type=float, help="amplitude-damping strength on qubit 1")
-    parser.add_argument("--p", type=float, help="depolarizing strength per ancilla qubit")
     parser.add_argument("--shots", type=int, help="shots per measurement setting")
     parser.add_argument("--seed", type=int, help="master seed for all random streams")
-    parser.add_argument("--backend", choices=BACKENDS, help="sampling or exact probabilities")
-    parser.add_argument("--workers", type=int, help="worker threads for shot sampling")
+    parser.add_argument("--out", default="results", help="output directory")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -318,18 +321,23 @@ def _parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_char = sub.add_parser("characterize", help="run a full characterization")
-    _add_run_flags(p_char, with_scenario=True)
-    p_char.add_argument("--out", default="results", help="output directory")
+    _add_run_flags(p_char)
+    p_char.add_argument("--scenario", choices=CODE_SCENARIOS, help="noise scenario to run")
+    p_char.add_argument("--gamma", type=float, help="amplitude-damping strength on qubit 1")
+    p_char.add_argument("--p", type=float, help="depolarizing strength per ancilla qubit")
+    p_char.add_argument("--backend", choices=BACKENDS, help="sampling or exact probabilities")
     p_char.set_defaults(func=cmd_characterize)
 
-    p_sweep = sub.add_parser("failure-sweep", help="failure rate vs depolarizing strength")
-    _add_run_flags(p_sweep, with_scenario=False)
+    # no abbreviations: "--p" must not silently stand for "--p-values"
+    p_sweep = sub.add_parser(
+        "failure-sweep", help="failure rate vs depolarizing strength", allow_abbrev=False
+    )
+    _add_run_flags(p_sweep)
     p_sweep.add_argument(
         "--p-values",
         default=DEFAULT_SWEEP_GRID,
         help="comma-separated depolarizing grid",
     )
-    p_sweep.add_argument("--out", default="results", help="output directory")
     p_sweep.set_defaults(func=cmd_failure_sweep)
 
     p_self = sub.add_parser("selftest", help="fast invariant checks")

@@ -18,10 +18,8 @@ commuting, written like "010100" with the first generator leftmost.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -34,8 +32,6 @@ __all__ = [
     "StabilizerCode",
     "CodeConstructionError",
     "UnsupportedCodeError",
-    "ErrorPartition",
-    "HammingBoundResult",
     "build_s0",
     "build_s422",
     "build_s1",
@@ -46,11 +42,6 @@ __all__ = [
     "located_error_table",
     "located_syndrome_index",
     "destabilizers",
-    "partition_error_set",
-    "qec_condition_matrix",
-    "located_hamming_bound",
-    "code_to_json",
-    "code_from_json",
 ]
 
 
@@ -387,98 +378,3 @@ def destabilizers(code: StabilizerCode):
         op = PauliOperator(code.n, tuple(v[: code.n]), tuple(v[code.n :]), 0)
         out.append(op)
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class ErrorPartition:
-    located: tuple
-    ancilla: tuple
-    composite: tuple
-
-
-def partition_error_set(code: StabilizerCode) -> ErrorPartition:
-    """Split the modeled error set into located principal errors,
-    weight-one ancilla errors, and their products.
-
-    Ordering is fixed: located errors in table order; ancilla errors by
-    (site, then X < Y < Z); composites lexicographic over (located index,
-    ancilla index).
-    """
-    located = tuple(op for _, op, _ in located_error_table(code))
-    anc = []
-    for site in sorted(code.ancilla_sites):
-        for letter in "XYZ":
-            anc.append(pauli.single_site(code.n, site, letter))
-    # full product set, so located[0] = identity keeps the bare ancilla
-    # errors inside the composite list as well
-    composite = tuple(multiply(l, a) for l in located for a in anc)
-    return ErrorPartition(located=located, ancilla=tuple(anc), composite=composite)
-
-
-def qec_condition_matrix(code: StabilizerCode, errors=None) -> np.ndarray:
-    """Gram matrix C_ab = <0| E_a^dag E_b |0> on the codeword.
-
-    Identity on the located set certifies that all sixteen principal
-    errors are perfectly distinguishable; off-diagonal unit entries
-    reveal degenerate pairs.
-    """
-    if errors is None:
-        errors = [op for _, op, _ in located_error_table(code)]
-    psi = codeword_state(code)
-    images = np.stack([pauli.to_matrix(e) @ psi for e in errors])
-    return images.conj() @ images.T
-
-
-@dataclass(frozen=True)
-class HammingBoundResult:
-    satisfied: bool
-    saturated: bool
-    lhs: int
-    rhs: int
-    margin: int
-
-
-def located_hamming_bound(n_principal: int, k: int, n: int) -> HammingBoundResult:
-    """Counting bound for distinguishing every located error.
-
-    sum_{j=0}^{n_p} C(n_p, j) 3^j 2^k <= 2^n: each of the 3^j C(n_p, j)
-    principal error patterns needs its own syndrome subspace of dimension
-    2^k.  Equality means every syndrome is spoken for.
-    """
-    lhs = sum(comb(n_principal, j) * 3 ** j for j in range(n_principal + 1)) * 2 ** k
-    rhs = 2 ** n
-    return HammingBoundResult(
-        satisfied=lhs <= rhs,
-        saturated=lhs == rhs,
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-    )
-
-
-def code_to_json(code: StabilizerCode) -> str:
-    doc = {
-        "label": code.label,
-        "n": code.n,
-        "generators": [str(g) for g in code.generators],
-        "principal_sites": sorted(code.principal_sites),
-        "ancilla_sites": sorted(code.ancilla_sites),
-        "logical_x": [str(g) for g in code.logical_x],
-        "logical_z": [str(g) for g in code.logical_z],
-        "detection_prefix": code.detection_prefix,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def code_from_json(text: str) -> StabilizerCode:
-    doc = json.loads(text)
-    return StabilizerCode(
-        label=doc["label"],
-        n=int(doc["n"]),
-        generators=tuple(parse_pauli(s) for s in doc["generators"]),
-        principal_sites=frozenset(doc["principal_sites"]),
-        ancilla_sites=frozenset(doc["ancilla_sites"]),
-        logical_x=tuple(parse_pauli(s) for s in doc.get("logical_x", [])),
-        logical_z=tuple(parse_pauli(s) for s in doc.get("logical_z", [])),
-        detection_prefix=int(doc.get("detection_prefix", 0)),
-    )

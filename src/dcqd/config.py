@@ -30,7 +30,6 @@ DEFAULTS = {
     "shots": 100_000,
     "seed": 1234,
     "backend": "sampling",
-    "workers": 1,
 }
 
 
@@ -46,7 +45,6 @@ class ExperimentConfig:
     shots: int = DEFAULTS["shots"]
     seed: int = DEFAULTS["seed"]
     backend: str = DEFAULTS["backend"]
-    workers: int = DEFAULTS["workers"]
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -61,13 +59,10 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if int(self.workers) < 1:
-            raise ConfigError(f"workers must be positive, got {self.workers}")
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "p", float(self.p))
         object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "workers", int(self.workers))
 
     def to_dict(self) -> dict:
         return asdict(self)

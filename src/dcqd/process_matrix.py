@@ -21,15 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliOperator, parse_pauli, to_matrix
+from .pauli import parse_pauli
 
 __all__ = [
     "BASIS_LABELS",
     "BASIS_INDEX",
     "basis_paulis",
-    "basis_matrices",
     "ProcessMatrix",
-    "apply_process",
 ]
 
 BASIS_LABELS = (
@@ -47,14 +45,6 @@ def basis_paulis() -> tuple:
     return tuple(parse_pauli(label) for label in BASIS_LABELS)
 
 
-@lru_cache(maxsize=1)
-def basis_matrices() -> np.ndarray:
-    """Stacked dense forms, shape (16, 4, 4)."""
-    mats = np.stack([to_matrix(op) for op in basis_paulis()])
-    mats.setflags(write=False)
-    return mats
-
-
 @dataclass(frozen=True)
 class ProcessMatrix:
     """Hermitian 16x16 chi matrix over the canonical basis."""
@@ -70,10 +60,6 @@ class ProcessMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def labels(self) -> tuple:
-        return BASIS_LABELS
-
     def entry(self, m, n) -> complex:
         """Element by integer index or basis label."""
         mi = BASIS_INDEX[m] if isinstance(m, str) else int(m)
@@ -86,17 +72,3 @@ class ProcessMatrix:
 
     def max_abs_diff(self, other: "ProcessMatrix") -> float:
         return float(np.max(np.abs(self.data - other.data)))
-
-
-def apply_process(chi: ProcessMatrix, rho) -> np.ndarray:
-    """Evaluate sum_mn chi_mn F_m rho F_n^dag on a 4x4 input.
-
-    Returns a plain array: for estimated chi the output can be slightly
-    unphysical (trace and positivity off at sampling-noise scale), and it
-    is the caller's job to sanitize before treating it as a state.
-    """
-    mat = rho.data if hasattr(rho, "data") else np.asarray(rho, dtype=np.complex128)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 input, got {mat.shape}")
-    f = basis_matrices()
-    return np.einsum("mn,mij,jk,nlk->il", chi.data, f, mat, f.conj())

@@ -23,13 +23,11 @@ against the syndrome eigenbasis (no randomness); ``sampling`` draws the
 requested number of shots per setting from that same distribution, which
 is statistically identical to collapsing the state one generator at a
 time (the generators commute, so the joint outcome law factorizes
-through the syndrome projectors).  Shot-by-shot collapse is still
-available through :func:`run_shot`.
+through the syndrome projectors).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,7 +38,6 @@ from . import channels as channels_mod
 from . import pauli
 from .codes import (
     StabilizerCode,
-    Syndrome,
     build_s0,
     build_s1,
     codeword,
@@ -51,13 +48,12 @@ from .codes import (
 )
 from .config import ConfigError, ExperimentConfig
 from .process_matrix import BASIS_LABELS, BASIS_INDEX, ProcessMatrix, basis_paulis
-from .rng import BLOCK_SHOTS, UniformStream, block_uniforms
-from .states import DensityMatrix, apply_unitary, measure_generator
+from .rng import BLOCK_SHOTS, block_uniforms
+from .states import DensityMatrix
 
 __all__ = [
     "PreprocessingKind",
     "PreprocessingOp",
-    "ShotRecord",
     "SyndromeHistogram",
     "CharacterizationResult",
     "IncompleteDataError",
@@ -65,8 +61,6 @@ __all__ = [
     "prepare_probe",
     "located_embedded",
     "preprocessing_unitary",
-    "run_shot",
-    "filter_accept",
     "syndrome_basis",
     "setting_distribution",
     "run_setting",
@@ -128,13 +122,6 @@ def standard_settings() -> tuple:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    setting: PreprocessingOp
-    projective_outcome: int | None
-    syndrome: Syndrome
-
-
-@dataclass(frozen=True)
 class SyndromeHistogram:
     """Outcome tallies of one setting.
 
@@ -158,10 +145,6 @@ class SyndromeHistogram:
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if arr.ndim != 2 or arr.shape[0] != len(self.outcomes):
             raise ValueError("counts must have one row per outcome")
-
-    def count(self, outcome, syndrome: Syndrome) -> float:
-        row = self.outcomes.index(outcome)
-        return float(self.counts[row, syndrome.to_int()])
 
     def to_jsonable(self) -> dict:
         length = int(np.log2(self.counts.shape[1]))
@@ -230,45 +213,6 @@ def preprocessing_unitary(code: StabilizerCode, f_index: int) -> np.ndarray:
     return (np.eye(dim, dtype=np.complex128) + 1j * f) / np.sqrt(2.0)
 
 
-def filter_accept(code: StabilizerCode, syndrome: Syndrome) -> bool:
-    """Keep a shot iff every ancilla-detector bit is clear.
-
-    Codes without detector generators (detection_prefix == 0) accept
-    everything; they have no way to flag ancilla faults.
-    """
-    return not any(syndrome.bits[: code.detection_prefix])
-
-
-def run_shot(
-    probe: DensityMatrix,
-    channel: channels_mod.QuantumChannel,
-    op: PreprocessingOp,
-    code: StabilizerCode,
-    stream: UniformStream,
-) -> ShotRecord:
-    """Single-shot simulation with explicit state collapse.
-
-    Applies the channel, then the preprocessing step, then measures the
-    generators in order, consuming one uniform variate per projective
-    event.  Equivalent in law to sampling from
-    :func:`setting_distribution`; kept for inspection and cross-checks.
-    """
-    rho = channels_mod.apply(channel, probe)
-    outcome = None
-    if op.kind is PreprocessingKind.COHERENCE_UNITARY:
-        rho = apply_unitary(rho, preprocessing_unitary(code, op.f_index))
-    elif op.kind is PreprocessingKind.COHERENCE_PROJECTIVE:
-        record, rho = measure_generator(
-            rho, located_embedded(code)[op.f_index], stream.next_uniform(), generator_index=-1
-        )
-        outcome = record.outcome
-    bits = []
-    for gi, g in enumerate(code.generators):
-        record, rho = measure_generator(rho, g, stream.next_uniform(), generator_index=gi)
-        bits.append(0 if record.outcome == 1 else 1)
-    return ShotRecord(setting=op, projective_outcome=outcome, syndrome=Syndrome(tuple(bits)))
-
-
 @lru_cache(maxsize=8)
 def syndrome_basis(code: StabilizerCode) -> np.ndarray:
     """Joint eigenbasis of the generators, one row per syndrome integer.
@@ -327,37 +271,26 @@ def setting_distribution(
     return (1, -1), np.stack(rows)
 
 
-def _sample_flat(flat_probs: np.ndarray, shots: int, seed: int, setting_key: int, workers: int) -> np.ndarray:
-    """Counter-keyed categorical sampling, bit-identical for any worker count."""
+def _sample_flat(flat_probs: np.ndarray, shots: int, seed: int, setting_key: int) -> np.ndarray:
+    """Counter-keyed categorical sampling, block by block."""
     cdf = np.cumsum(flat_probs)
     # tiny mass lost to clipping cannot eject a draw past the last bin
     top = flat_probs.size - 1
-    blocks = []
-    start = 0
-    index = 0
-    while start < shots:
-        blocks.append((index, min(BLOCK_SHOTS, shots - start)))
-        start += BLOCK_SHOTS
-        index += 1
-
-    def tally(block) -> np.ndarray:
-        block_index, count = block
+    total = np.zeros(flat_probs.size, dtype=np.int64)
+    for block_index, start in enumerate(range(0, shots, BLOCK_SHOTS)):
+        count = min(BLOCK_SHOTS, shots - start)
         u = block_uniforms(seed, setting_key, block_index, count) * cdf[-1]
         idx = np.minimum(np.searchsorted(cdf, u, side="right"), top)
-        return np.bincount(idx, minlength=flat_probs.size)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(tally, blocks))
-    else:
-        partials = [tally(b) for b in blocks]
-    total = np.zeros(flat_probs.size, dtype=np.int64)
-    for part in partials:
-        total += part
+        total += np.bincount(idx, minlength=flat_probs.size)
     return total
 
 
 def _accepted_mass(counts: np.ndarray, code: StabilizerCode) -> float:
+    """Mass of the syndromes whose ancilla-detector bits are all clear.
+
+    Codes without detector generators (detection_prefix == 0) accept
+    everything; they have no way to flag ancilla faults.
+    """
     n_syn = counts.shape[1]
     shift = code.r - code.detection_prefix
     syn = np.arange(n_syn)
@@ -372,7 +305,6 @@ def run_setting(
     shots: int,
     seed: int,
     backend: str = "sampling",
-    workers: int = 1,
     rho_after_channel: DensityMatrix | None = None,
 ) -> SyndromeHistogram:
     """Histogram of one setting under either backend."""
@@ -383,7 +315,7 @@ def run_setting(
         counts = probs.astype(np.float64)
         total = 1.0
     elif backend == "sampling":
-        flat = _sample_flat(probs.reshape(-1), shots, seed, op.setting_key, workers)
+        flat = _sample_flat(probs.reshape(-1), shots, seed, op.setting_key)
         counts = flat.reshape(probs.shape).astype(np.float64)
         total = float(shots)
     else:
@@ -433,6 +365,38 @@ def estimate_diagonal(hist: SyndromeHistogram, code: StabilizerCode) -> np.ndarr
     return np.array([hist.counts[0, s] for s in syn_ints]) / hist.accepted
 
 
+def _raw_estimate(
+    h_identity: SyndromeHistogram,
+    h_unitary: dict,
+    h_projective: dict,
+    code: StabilizerCode,
+) -> np.ndarray:
+    """Unsymmetrized chi estimate from whichever settings are given.
+
+    The plain setting fills the diagonal.  The rotation/projection pair
+    for F_j fills the sixteen entries raw[J, i] with phi F_J = F_i F_j;
+    entries that no given pair reaches stay zero.
+    """
+    diag = estimate_diagonal(h_identity, code)
+    syn_ints = _located_syndrome_ints(code)
+    j_table, phi_table = _product_tables()
+    raw = np.zeros((16, 16), dtype=np.complex128)
+    np.fill_diagonal(raw, diag)
+    for j in sorted(h_unitary):
+        hu = h_unitary[j]
+        hp = h_projective[j]
+        if hu.accepted <= 0 or hp.accepted <= 0:
+            raise IncompleteDataError(f"no accepted events in setting {BASIS_LABELS[j]}")
+        for i in range(16):
+            big_j = int(j_table[i, j])
+            phi = phi_table[i, j]
+            p_rot = hu.counts[0, syn_ints[i]] / hu.accepted
+            imag = (diag[i] + diag[big_j]) / 2.0 - p_rot
+            real = (hp.counts[0, syn_ints[i]] - hp.counts[1, syn_ints[i]]) / hp.accepted
+            raw[big_j, i] = np.conj(phi) * (real + 1j * imag)
+    return raw
+
+
 def estimate_offdiagonal(
     h_identity: SyndromeHistogram,
     h_unitary: dict,
@@ -449,25 +413,8 @@ def estimate_offdiagonal(
     missing += [f"P{BASIS_LABELS[j]}" for j in range(1, 16) if j not in h_projective]
     if missing:
         raise IncompleteDataError(f"missing settings: {', '.join(missing)}")
-    diag = estimate_diagonal(h_identity, code)
-    syn_ints = _located_syndrome_ints(code)
-    j_table, phi_table = _product_tables()
-    raw = np.zeros((16, 16), dtype=np.complex128)
-    np.fill_diagonal(raw, diag)
-    for j in range(1, 16):
-        hu = h_unitary[j]
-        hp = h_projective[j]
-        if hu.accepted <= 0 or hp.accepted <= 0:
-            raise IncompleteDataError(f"no accepted events in setting {BASIS_LABELS[j]}")
-        for i in range(16):
-            big_j = int(j_table[i, j])
-            phi = phi_table[i, j]
-            p_rot = hu.counts[0, syn_ints[i]] / hu.accepted
-            imag = (diag[i] + diag[big_j]) / 2.0 - p_rot
-            real = (hp.counts[0, syn_ints[i]] - hp.counts[1, syn_ints[i]]) / hp.accepted
-            raw[big_j, i] = np.conj(phi) * (real + 1j * imag)
-    chi = (raw + raw.conj().T) / 2.0
-    return ProcessMatrix(chi)
+    raw = _raw_estimate(h_identity, h_unitary, h_projective, code)
+    return ProcessMatrix((raw + raw.conj().T) / 2.0)
 
 
 def resolve_scenario(config: ExperimentConfig):
@@ -495,34 +442,39 @@ def resolve_scenario(config: ExperimentConfig):
     return code, channels_mod.channel_from_spec(entries, code.n)
 
 
-def characterize(config: ExperimentConfig) -> CharacterizationResult:
-    """Full 31-setting run followed by chi reconstruction."""
+def _run_settings(config: ExperimentConfig, ops) -> tuple:
+    """(code, histograms) of the given settings in the config's scenario."""
     code, channel = resolve_scenario(config)
     rho_e = channels_mod.apply(channel, prepare_probe(code))
-    hists = []
-    h_unitary = {}
-    h_projective = {}
-    h_identity = None
-    for op in standard_settings():
-        hist = run_setting(
+    hists = tuple(
+        run_setting(
             code,
             channel,
             op,
             shots=config.shots,
             seed=config.seed,
             backend=config.backend,
-            workers=config.workers,
             rho_after_channel=rho_e,
         )
-        hists.append(hist)
-        if op.kind is PreprocessingKind.IDENTITY:
-            h_identity = hist
-        elif op.kind is PreprocessingKind.COHERENCE_UNITARY:
-            h_unitary[op.f_index] = hist
-        else:
-            h_projective[op.f_index] = hist
-    chi = estimate_offdiagonal(h_identity, h_unitary, h_projective, code)
-    return CharacterizationResult(chi=chi, histograms=tuple(hists), config=config)
+        for op in ops
+    )
+    return code, hists
+
+
+def _by_index(hists, kind: PreprocessingKind) -> dict:
+    return {h.setting.f_index: h for h in hists if h.setting.kind is kind}
+
+
+def characterize(config: ExperimentConfig) -> CharacterizationResult:
+    """Full 31-setting run followed by chi reconstruction."""
+    code, hists = _run_settings(config, standard_settings())
+    chi = estimate_offdiagonal(
+        hists[0],
+        _by_index(hists, PreprocessingKind.COHERENCE_UNITARY),
+        _by_index(hists, PreprocessingKind.COHERENCE_PROJECTIVE),
+        code,
+    )
+    return CharacterizationResult(chi=chi, histograms=hists, config=config)
 
 
 def partial_characterize(config: ExperimentConfig, elements) -> dict:
@@ -531,56 +483,23 @@ def partial_characterize(config: ExperimentConfig, elements) -> dict:
     Runs the plain setting always (the diagonal feeds every estimator)
     plus the one rotation/projection pair per requested off-diagonal
     element.  Requesting only diagonal elements therefore runs exactly
-    one setting.
+    one setting.  Elements are read off the same raw estimate that
+    :func:`characterize` symmetrizes, so both agree bit for bit.
     """
     pairs = [(int(m), int(n)) for m, n in elements]
     for m, n in pairs:
         if not (0 <= m < 16 and 0 <= n < 16):
             raise ValueError(f"element ({m}, {n}) out of range")
-    code, channel = resolve_scenario(config)
-    rho_e = channels_mod.apply(channel, prepare_probe(code))
-    j_table, phi_table = _product_tables()
-    syn_ints = _located_syndrome_ints(code)
-
-    def run(op: PreprocessingOp) -> SyndromeHistogram:
-        return run_setting(
-            code,
-            channel,
-            op,
-            shots=config.shots,
-            seed=config.seed,
-            backend=config.backend,
-            workers=config.workers,
-            rho_after_channel=rho_e,
-        )
-
-    h_identity = run(PreprocessingOp(PreprocessingKind.IDENTITY))
-    diag = estimate_diagonal(h_identity, code)
-    needed = sorted({int(j_table[m, n]) for m, n in pairs if m != n})
-    hists = {}
-    for j in needed:
-        hists[j] = (
-            run(PreprocessingOp(PreprocessingKind.COHERENCE_UNITARY, j)),
-            run(PreprocessingOp(PreprocessingKind.COHERENCE_PROJECTIVE, j)),
-        )
-
-    def raw_entry(m: int, n: int) -> complex:
-        # estimate of chi_mn read at syndrome n of the setting for F_m F_n
-        j = int(j_table[m, n])
-        hu, hp = hists[j]
-        if hu.accepted <= 0 or hp.accepted <= 0:
-            raise IncompleteDataError(f"no accepted events in setting {BASIS_LABELS[j]}")
-        phi = phi_table[n, j]
-        assert int(j_table[n, j]) == m
-        p_rot = hu.counts[0, syn_ints[n]] / hu.accepted
-        imag = (diag[n] + diag[m]) / 2.0 - p_rot
-        real = (hp.counts[0, syn_ints[n]] - hp.counts[1, syn_ints[n]]) / hp.accepted
-        return complex(np.conj(phi) * (real + 1j * imag))
-
-    out = {}
-    for m, n in pairs:
-        if m == n:
-            out[(m, n)] = complex(diag[m])
-        else:
-            out[(m, n)] = (raw_entry(m, n) + np.conj(raw_entry(n, m))) / 2.0
-    return out
+    j_table, _ = _product_tables()
+    ops = [PreprocessingOp(PreprocessingKind.IDENTITY)]
+    for j in sorted({int(j_table[m, n]) for m, n in pairs if m != n}):
+        ops.append(PreprocessingOp(PreprocessingKind.COHERENCE_UNITARY, j))
+        ops.append(PreprocessingOp(PreprocessingKind.COHERENCE_PROJECTIVE, j))
+    code, hists = _run_settings(config, ops)
+    raw = _raw_estimate(
+        hists[0],
+        _by_index(hists, PreprocessingKind.COHERENCE_UNITARY),
+        _by_index(hists, PreprocessingKind.COHERENCE_PROJECTIVE),
+        code,
+    )
+    return {(m, n): complex((raw[m, n] + np.conj(raw[n, m])) / 2.0) for m, n in pairs}

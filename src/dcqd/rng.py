@@ -3,12 +3,8 @@
 Every variate is a pure function of an integer scope tuple, never of
 execution order.  Shots are grouped into fixed blocks of 2**16; block b
 of a measurement setting draws its uniforms from a Philox generator
-keyed by (seed, setting, b).  Splitting blocks across worker threads
-therefore reproduces the single-thread stream bit for bit, and merged
-histograms are identical for any worker count.
-
-Single shots that need several variates (state-collapse simulation) get
-their own stream keyed by (seed, setting, shot).
+keyed by (seed, setting, b), so a histogram is a pure function of the
+config.
 """
 
 from __future__ import annotations
@@ -20,8 +16,6 @@ __all__ = [
     "derive_key",
     "scoped_generator",
     "block_uniforms",
-    "UniformStream",
-    "shot_stream",
 ]
 
 BLOCK_SHOTS = 1 << 16
@@ -57,18 +51,3 @@ def block_uniforms(seed: int, setting_key: int, block_index: int, count: int) ->
     if count < 0 or count > BLOCK_SHOTS:
         raise ValueError(f"count must lie in 0..{BLOCK_SHOTS}, got {count}")
     return scoped_generator(seed, setting_key, block_index).random(count)
-
-
-class UniformStream:
-    """Sequential uniform variates for a single simulated shot."""
-
-    def __init__(self, generator: np.random.Generator):
-        self._generator = generator
-
-    def next_uniform(self) -> float:
-        return float(self._generator.random())
-
-
-def shot_stream(seed: int, setting_key: int, shot_index: int) -> UniformStream:
-    # offset the scope so shot streams never collide with block streams
-    return UniformStream(scoped_generator(seed, setting_key, shot_index, 0x5A5A5A5A))

@@ -1,81 +1,35 @@
 """Dense density-matrix engine for small registers.
 
 States are exact 2^n x 2^n complex matrices; nothing here is stochastic.
-Randomness for measurements is injected by the caller as a uniform real
-in [0, 1), so identical inputs always produce identical outputs.
-
-Construction checks hermiticity and unit trace (1e-10).  The positive
-semidefiniteness check costs an eigendecomposition and is gated behind
-:func:`set_strict_validation`; tests switch it on, hot loops leave it off.
+Construction checks hermiticity, unit trace (1e-10) and positive
+semidefiniteness (eigenvalues above -1e-9).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliOperator, to_matrix
-
 __all__ = [
     "DensityMatrix",
-    "MeasurementRecord",
     "ContractViolationError",
-    "ImpossibleOutcomeError",
     "InvalidStateError",
-    "set_strict_validation",
-    "strict_validation_enabled",
-    "pure_state",
-    "basis_state",
-    "apply_unitary",
     "apply_channel",
-    "measure_generator",
-    "expectation",
-    "partial_trace",
-    "dump_matrix_csv",
 ]
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-UNITARITY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
-# Selecting a measurement branch this improbable means the caller's uniform
-# variate mechanism is broken, not that the event happened.
-IMPOSSIBLE_BRANCH_TOL = 1e-12
-
-_strict_psd = False
 
 
 class ContractViolationError(ValueError):
     """An operator handed to the engine fails its mathematical contract."""
 
 
-class ImpossibleOutcomeError(RuntimeError):
-    """A measurement branch with (numerically) zero probability was selected."""
-
-
 class InvalidStateError(ValueError):
     """A matrix is not a valid density matrix within tolerance."""
-
-
-def set_strict_validation(enabled: bool) -> None:
-    """Toggle the eigenvalue (positivity) check on state construction."""
-    global _strict_psd
-    _strict_psd = bool(enabled)
-
-
-def strict_validation_enabled() -> bool:
-    return _strict_psd
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    generator_index: int
-    outcome: int
-    probability: float
 
 
 @dataclass(frozen=True)
@@ -93,49 +47,15 @@ class DensityMatrix:
         tr = arr.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise InvalidStateError(f"trace {tr} deviates from 1 beyond 1e-10")
-        if _strict_psd:
-            lo = float(np.linalg.eigvalsh(arr)[0])
-            if lo < -PSD_TOL:
-                raise InvalidStateError(f"negative eigenvalue {lo} below -1e-9")
+        lo = float(np.linalg.eigvalsh(arr)[0])
+        if lo < -PSD_TOL:
+            raise InvalidStateError(f"negative eigenvalue {lo} below -1e-9")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property
     def dim(self) -> int:
         return 2 ** self.n
-
-
-def pure_state(vector: np.ndarray) -> DensityMatrix:
-    """Outer product of a normalized state vector."""
-    v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    n = int(round(np.log2(v.size)))
-    if 2 ** n != v.size:
-        raise InvalidStateError(f"vector length {v.size} is not a power of two")
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise InvalidStateError("cannot normalize a zero vector")
-    v = v / norm
-    return DensityMatrix(n, np.outer(v, v.conj()))
-
-
-def basis_state(n: int, index) -> DensityMatrix:
-    """Computational basis state given as an int or a bitstring like '010'."""
-    if isinstance(index, str):
-        if len(index) != n or any(c not in "01" for c in index):
-            raise ValueError(f"bitstring {index!r} does not describe {n} qubits")
-        index = int(index, 2)
-    v = np.zeros(2 ** n, dtype=np.complex128)
-    v[index] = 1.0
-    return DensityMatrix(n, np.outer(v, v.conj()))
-
-
-def apply_unitary(rho: DensityMatrix, unitary: np.ndarray) -> DensityMatrix:
-    u = np.asarray(unitary, dtype=np.complex128)
-    if u.shape != (rho.dim, rho.dim):
-        raise ContractViolationError(f"unitary shape {u.shape} does not match dim {rho.dim}")
-    if np.max(np.abs(u @ u.conj().T - np.eye(rho.dim))) > UNITARITY_TOL:
-        raise ContractViolationError("matrix is not unitary within 1e-10")
-    return DensityMatrix(rho.n, u @ rho.data @ u.conj().T)
 
 
 def apply_channel(rho: DensityMatrix, kraus) -> DensityMatrix:
@@ -154,90 +74,3 @@ def apply_channel(rho: DensityMatrix, kraus) -> DensityMatrix:
     for k in ops:
         out += k @ rho.data @ k.conj().T
     return DensityMatrix(rho.n, out)
-
-
-def measure_generator(
-    rho: DensityMatrix,
-    observable: PauliOperator,
-    rand: float,
-    generator_index: int = 0,
-):
-    """Projective measurement of a Hermitian Pauli observable.
-
-    The +1 branch is taken when ``rand`` falls below the Born probability
-    p_plus = Tr[(1 + G) rho] / 2, so a caller that feeds uniform variates
-    reproduces Born statistics.  Returns the record and the renormalized
-    post-measurement state.
-
-    Raises:
-        ContractViolationError: observable is not Hermitian (phase not +-1)
-            or acts on a different register size.
-        ImpossibleOutcomeError: the selected branch has probability below
-            1e-12, which indicates a broken variate source.
-    """
-    if observable.n != rho.n:
-        raise ContractViolationError(
-            f"observable on {observable.n} sites, state on {rho.n}"
-        )
-    if observable.phase not in (0, 2):
-        raise ContractViolationError("observable phase must be +1 or -1 (Hermitian)")
-    if not 0.0 <= rand < 1.0:
-        raise ValueError(f"rand must lie in [0, 1), got {rand}")
-    g = to_matrix(observable)
-    expect = np.trace(g @ rho.data)
-    if abs(expect.imag) > IMAG_RESIDUE_TOL:
-        raise ContractViolationError(f"expectation has imaginary residue {expect.imag}")
-    p_plus = min(max((1.0 + expect.real) / 2.0, 0.0), 1.0)
-    outcome = 1 if rand < p_plus else -1
-    p_sel = p_plus if outcome == 1 else 1.0 - p_plus
-    if p_sel < IMPOSSIBLE_BRANCH_TOL:
-        raise ImpossibleOutcomeError(
-            f"selected outcome {outcome:+d} with probability {p_sel}"
-        )
-    proj = (np.eye(rho.dim) + outcome * g) / 2.0
-    post = proj @ rho.data @ proj / p_sel
-    record = MeasurementRecord(generator_index, outcome, float(p_sel))
-    return record, DensityMatrix(rho.n, post)
-
-
-def expectation(rho: DensityMatrix, observable) -> float:
-    """Tr[O rho] as a real number; complains if the residue is physical."""
-    if isinstance(observable, PauliOperator):
-        obs = to_matrix(observable)
-    else:
-        obs = np.asarray(observable, dtype=np.complex128)
-    val = np.trace(obs @ rho.data)
-    if abs(val.imag) > IMAG_RESIDUE_TOL:
-        raise ContractViolationError(f"expectation has imaginary residue {val.imag}")
-    return float(val.real)
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out everything except the given 1-based sites.
-
-    The result keeps the surviving sites in ascending order.
-    """
-    keep_sites = sorted(set(int(s) for s in keep))
-    if not keep_sites:
-        raise ValueError("must keep at least one site")
-    if keep_sites[0] < 1 or keep_sites[-1] > rho.n:
-        raise ValueError(f"keep sites {keep_sites} out of range 1..{rho.n}")
-    drop = [s for s in range(1, rho.n + 1) if s not in keep_sites]
-    arr = rho.data.reshape((2,) * (2 * rho.n))
-    remaining = rho.n
-    for site in sorted(drop, reverse=True):
-        arr = np.trace(arr, axis1=site - 1, axis2=remaining + site - 1)
-        remaining -= 1
-    d = 2 ** len(keep_sites)
-    return DensityMatrix(len(keep_sites), arr.reshape(d, d))
-
-
-def dump_matrix_csv(rho: DensityMatrix, path) -> None:
-    """Debug dump: one row per entry with real and imaginary parts."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "real", "imag"])
-        for i in range(rho.dim):
-            for j in range(rho.dim):
-                v = rho.data[i, j]
-                writer.writerow([i, j, format(v.real, ".17g"), format(v.imag, ".17g")])

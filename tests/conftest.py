@@ -1,16 +1,6 @@
 import numpy as np
 import pytest
 
-from dcqd.states import set_strict_validation
-
-
-@pytest.fixture(autouse=True)
-def strict_state_checks():
-    """Run every test with full PSD validation on density matrices."""
-    set_strict_validation(True)
-    yield
-    set_strict_validation(False)
-
 
 @pytest.fixture
 def rng():

@@ -15,8 +15,9 @@ from dcqd.channels import (
     theoretical_chi_ad,
 )
 from dcqd.pauli import parse_pauli, single_site
-from dcqd.process_matrix import BASIS_INDEX, apply_process
-from dcqd.states import DensityMatrix, basis_state
+from dcqd.process_matrix import BASIS_INDEX
+from dcqd.states import DensityMatrix
+from oracles import apply_process, basis_state, partial_trace
 
 
 def completeness_defect(channel):
@@ -69,8 +70,6 @@ def test_depolarizing_three_quarters_outputs_maximally_mixed():
     # 1 - 4p/3 vanishes at p = 3/4 in the uniform-error convention
     chan = depolarizing(0.75, 2, 2)
     rho = apply(chan, basis_state(2, 3))
-    from dcqd.states import partial_trace
-
     assert np.allclose(partial_trace(rho, keep=[2]).data, np.eye(2) / 2, atol=1e-12)
     assert np.allclose(partial_trace(rho, keep=[1]).data, np.diag([0.0, 1.0]), atol=1e-12)
 

@@ -150,6 +150,30 @@ def test_failure_sweep_rejects_bad_grid(capsys):
     assert "p-values" in err
 
 
+@pytest.mark.parametrize(
+    "flag", [["--gamma", "0.5"], ["--p", "0.3"], ["--backend", "exact"], ["--workers", "2"]]
+)
+def test_failure_sweep_rejects_flags_it_does_not_use(capsys, tmp_path, flag):
+    # the sweep draws ancilla noise at --p-values only; "--p" must not be
+    # read as an abbreviation of "--p-values" either
+    with pytest.raises(SystemExit) as info:
+        cli.main(["failure-sweep", *flag, "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert not (tmp_path / "failure_sweep.csv").exists()
+
+
+def test_failure_sweep_rejects_config_keys_it_does_not_use(capsys, tmp_path):
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(json.dumps({"gamma": 0.9, "p": 0.3, "backend": "exact", "shots": 1000}))
+    argv = ["failure-sweep", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "configuration error" in err
+    assert "gamma" in err and "backend" in err
+    cfg.write_text(json.dumps({"shots": 1000, "seed": 4}))
+    assert run_cli(argv, capsys)[0] == 0
+
+
 def test_config_file_with_cli_override(capsys, tmp_path):
     cfg = tmp_path / "settings.json"
     cfg.write_text(json.dumps({"scenario": "s0_noisy", "shots": 4000, "seed": 9}))
@@ -174,14 +198,20 @@ def test_selftest_passes(capsys):
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # the child imports the same package the tests import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "dcqd", "table"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "II, 000000" in proc.stdout

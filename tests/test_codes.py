@@ -12,19 +12,15 @@ from dcqd.codes import (
     build_s0,
     build_s1,
     build_s422,
-    code_from_json,
-    code_to_json,
     codeword,
     codeword_state,
     destabilizers,
     located_error_table,
-    located_hamming_bound,
     located_syndrome_index,
-    partition_error_set,
-    qec_condition_matrix,
     syndrome_of_error,
 )
-from dcqd.pauli import commutes, multiply, parse_pauli, single_site, to_matrix
+from dcqd.pauli import commutes, parse_pauli, single_site, to_matrix
+from oracles import located_hamming_bound, qec_condition_matrix
 
 S1_GENERATORS = ("IIXXXX", "IIZZZZ", "XIXXII", "ZIZIZI", "IXIXIX", "IZIIZZ")
 S1_SUPPORT = {
@@ -172,18 +168,6 @@ def test_qec_condition_located_errors_orthogonal():
         assert np.allclose(gram, np.eye(16), atol=1e-10)
 
 
-def test_partition_counts():
-    part = partition_error_set(build_s1())
-    assert len(part.located) == 16
-    assert len(part.ancilla) == 12
-    assert len(part.composite) == 16 * 12
-    assert str(part.ancilla[0]) == "IIXIII"
-    assert str(part.ancilla[-1]) == "IIIIIZ"
-    # every composite keeps its factors' support
-    probe = part.composite[1]
-    assert probe == multiply(part.located[0], part.ancilla[1])
-
-
 def test_hamming_bound_values():
     s0 = located_hamming_bound(n_principal=2, k=0, n=4)
     assert s0.satisfied and s0.saturated
@@ -203,14 +187,6 @@ def test_syndrome_container():
     assert Syndrome.from_string("000000").is_trivial
     with pytest.raises(ValueError):
         Syndrome((0, 2, 1))
-
-
-def test_code_json_round_trip():
-    for code in (build_s0(), build_s422(), build_s1()):
-        text = code_to_json(code)
-        back = code_from_json(text)
-        assert back == code
-        assert code_to_json(back) == text
 
 
 def test_generators_commute_pairwise():

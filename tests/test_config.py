@@ -36,7 +36,6 @@ def test_validation_messages_name_the_field():
         (dict(shots=0), "shots"),
         (dict(seed=-1), "seed"),
         (dict(backend="guess"), "backend"),
-        (dict(workers=0), "workers"),
         (dict(scenario="mystery"), "scenario"),
     ]
     for overrides, field in cases:
@@ -46,10 +45,10 @@ def test_validation_messages_name_the_field():
 
 
 def test_numeric_coercion():
-    config = ExperimentConfig(shots=5000.0, gamma=0, workers=2.0)
+    config = ExperimentConfig(shots=5000.0, gamma=0, seed=2.0)
     assert config.shots == 5000 and isinstance(config.shots, int)
     assert config.gamma == 0.0 and isinstance(config.gamma, float)
-    assert config.workers == 2 and isinstance(config.workers, int)
+    assert config.seed == 2 and isinstance(config.seed, int)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -73,6 +72,9 @@ def test_merge_rejects_unknown_keys():
         merge_settings({"shotz": 10}, None)
     with pytest.raises(ConfigError):
         merge_settings(None, {"verbosity": 3})
+    # sampling runs single-threaded; there is no worker count to set
+    with pytest.raises(ConfigError):
+        merge_settings({"workers": 4}, None)
 
 
 def test_load_config_file(tmp_path):

