@@ -8,8 +8,9 @@ Four subcommands cover the reproduction workflow:
                   reconstructed process matrix, its distance from the
                   damping closed form, the fidelity score, and the raw
                   syndrome histograms;
-* ``failure-sweep`` Monte-Carlo the ancilla-noise failure rate across a
-                  grid of depolarizing strengths;
+* ``failure-sweep`` Monte-Carlo the ancilla-noise failure rate of the s1
+                  filter code (or the unfiltered s0) across a grid of
+                  depolarizing strengths;
 * ``selftest``    fast end-to-end invariant checks.
 
 Settings resolve with precedence defaults < config file < flags, and
@@ -34,8 +35,8 @@ from .analysis import (
     failure_oracle,
     failure_rate_experiment,
 )
-from .channels import pauli_unitary_channel, theoretical_chi_ad
-from .codes import build_s1, located_error_table
+from .channels import apply, pauli_unitary_channel, theoretical_chi_ad
+from .codes import build_s0, build_s1, located_error_table
 from .config import (
     BACKENDS,
     CODE_SCENARIOS,
@@ -44,10 +45,18 @@ from .config import (
     ExperimentConfig,
     load_config_file,
     merge_settings,
+    settings_hash,
 )
 from .pauli import single_site
 from .process_matrix import BASIS_LABELS
-from .protocol import PreprocessingKind, PreprocessingOp, characterize, run_setting
+from .protocol import (
+    PreprocessingKind,
+    PreprocessingOp,
+    characterize,
+    prepare_probe,
+    resolve_scenario,
+    run_setting,
+)
 
 __all__ = ["main"]
 
@@ -55,6 +64,7 @@ GOLDEN_TABLE = "data/located_error_table.csv"
 DEFAULT_SWEEP_GRID = "0.02,0.05,0.1,0.2,0.3"
 # the sweep draws ancilla noise only, at the strengths of --p-values
 SWEEP_KEYS = ("shots", "seed")
+SWEEP_CODES = {"s0": build_s0, "s1": build_s1}
 
 
 def _real(value: float) -> str:
@@ -82,7 +92,7 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _build_config(args, keys=tuple(DEFAULTS), scenario: str | None = None) -> ExperimentConfig:
+def _build_config(args, keys=tuple(DEFAULTS)) -> ExperimentConfig:
     """Merge defaults, the --config file and the flags named by ``keys``.
 
     A file key outside ``keys`` would be silently ignored, so it is a
@@ -93,8 +103,6 @@ def _build_config(args, keys=tuple(DEFAULTS), scenario: str | None = None) -> Ex
     if unused:
         raise ConfigError(f"config keys {unused} do not apply to {args.command}")
     cli_values = {key: getattr(args, key) for key in keys}
-    if scenario is not None:
-        cli_values["scenario"] = scenario
     return merge_settings(file_values, cli_values)
 
 
@@ -174,16 +182,20 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_failure_sweep(args) -> int:
-    config = _build_config(args, SWEEP_KEYS, scenario="failure_sweep")
+    config = _build_config(args, SWEEP_KEYS)
     try:
         p_values = [float(tok) for tok in args.p_values.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"p-values must be comma-separated reals: {exc}") from exc
     if not p_values:
         raise ConfigError("p-values grid is empty")
-    reports = failure_rate_experiment(p_values, config.shots, config.seed)
+    code = SWEEP_CODES[args.code]()
+    reports = failure_rate_experiment(p_values, config.shots, config.seed, code=code)
+    # record and hash only what the sweep reads
+    record = {"code": args.code, "p_values": p_values, "seed": config.seed, "shots": config.shots}
+    digest = settings_hash(record)
     out = _out_dir(args)
-    header = f"# config={config.config_hash()} seed={config.seed}\n"
+    header = f"# config={digest} seed={config.seed}\n"
     lines = [header + "p,p_identity_syndrome,P_identity,delta_p1,p_00,p_F,analytic_p_F"]
     for r in reports:
         lines.append(
@@ -201,11 +213,8 @@ def cmd_failure_sweep(args) -> int:
             )
         )
     (out / "failure_sweep.csv").write_text("\n".join(lines) + "\n")
-    _write_json(
-        out / "effective_config.json",
-        dict(config.to_dict(), config_hash=config.config_hash(), p_values=p_values),
-    )
-    oracle = failure_oracle()
+    _write_json(out / "effective_config.json", dict(record, config_hash=digest))
+    oracle = failure_oracle(code)
     coeffs = ", ".join(
         f"w{w + 1}: {c}" for w, c in enumerate(oracle.failure_coefficients)
     )
@@ -278,6 +287,19 @@ def _selftest_checks():
                 return f"rerun counts diverge in setting {ha.setting.label}"
         return None
 
+    def check_sampler():
+        cfg = ExperimentConfig(scenario="s1_noisy", gamma=0.4, p=0.1, shots=20_000, seed=99)
+        code, channel = resolve_scenario(cfg)
+        rho = apply(channel, prepare_probe(code))
+        op = PreprocessingOp(PreprocessingKind.IDENTITY)
+        mass = run_setting(code, channel, op, 1, cfg.seed, "exact", rho).accepted
+        drawn = run_setting(code, channel, op, cfg.shots, cfg.seed, "sampling", rho)
+        sigma = np.sqrt(mass * (1.0 - mass) / cfg.shots)
+        frac = drawn.accepted / drawn.total
+        if not abs(frac - mass) < 5.0 * sigma:
+            return f"sampled accepted fraction {frac} vs exact mass {mass} (5 sigma = {5.0 * sigma})"
+        return None
+
     return [
         ("golden table", check_table),
         ("codeword superposition", check_codeword),
@@ -285,6 +307,7 @@ def _selftest_checks():
         ("failure oracle counts", check_oracle),
         ("ancilla filter soundness", check_filter),
         ("same-config rerun", check_rerun),
+        ("sampler vs exact accepted mass", check_sampler),
     ]
 
 
@@ -337,6 +360,12 @@ def _parser() -> argparse.ArgumentParser:
         "--p-values",
         default=DEFAULT_SWEEP_GRID,
         help="comma-separated depolarizing grid",
+    )
+    p_sweep.add_argument(
+        "--code",
+        choices=tuple(SWEEP_CODES),
+        default="s1",
+        help="s1 filters ancilla faults; s0 has no detector bits",
     )
     p_sweep.set_defaults(func=cmd_failure_sweep)
 

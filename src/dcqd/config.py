@@ -15,6 +15,7 @@ __all__ = [
     "ExperimentConfig",
     "load_config_file",
     "merge_settings",
+    "settings_hash",
 ]
 
 # code scenarios drive characterization runs; the last two tokens tag
@@ -69,8 +70,13 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         """Short digest of the canonical JSON form, stamped on outputs."""
-        canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        return settings_hash(self.to_dict())
+
+
+def settings_hash(values: dict) -> str:
+    """Short digest of the canonical JSON form of ``values``."""
+    canonical = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def load_config_file(path) -> dict:

@@ -48,7 +48,7 @@ from .codes import (
 )
 from .config import ConfigError, ExperimentConfig
 from .process_matrix import BASIS_LABELS, BASIS_INDEX, ProcessMatrix, basis_paulis
-from .rng import BLOCK_SHOTS, block_uniforms
+from .rng import scoped_generator
 from .states import DensityMatrix
 
 __all__ = [
@@ -272,17 +272,18 @@ def setting_distribution(
 
 
 def _sample_flat(flat_probs: np.ndarray, shots: int, seed: int, setting_key: int) -> np.ndarray:
-    """Counter-keyed categorical sampling, block by block."""
-    cdf = np.cumsum(flat_probs)
-    # tiny mass lost to clipping cannot eject a draw past the last bin
-    top = flat_probs.size - 1
-    total = np.zeros(flat_probs.size, dtype=np.int64)
-    for block_index, start in enumerate(range(0, shots, BLOCK_SHOTS)):
-        count = min(BLOCK_SHOTS, shots - start)
-        u = block_uniforms(seed, setting_key, block_index, count) * cdf[-1]
-        idx = np.minimum(np.searchsorted(cdf, u, side="right"), top)
-        total += np.bincount(idx, minlength=flat_probs.size)
-    return total
+    """Counts of ``shots`` categorical draws: one multinomial per setting.
+
+    Only the bins with positive mass enter the draw.  The last bin of a
+    multinomial takes whatever the others leave, so a trailing zero bin
+    could otherwise pick up a shot through rounding in the conditional
+    ratios; this way a zero-probability outcome is never counted.
+    """
+    support = np.flatnonzero(flat_probs)
+    mass = flat_probs[support]
+    counts = np.zeros(flat_probs.size, dtype=np.int64)
+    counts[support] = scoped_generator(seed, setting_key).multinomial(shots, mass / mass.sum())
+    return counts
 
 
 def _accepted_mass(counts: np.ndarray, code: StabilizerCode) -> float:

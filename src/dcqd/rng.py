@@ -1,10 +1,9 @@
-"""Deterministic uniform variates from key-derived counter-mode streams.
+"""Deterministic random streams from key-derived counter-mode generators.
 
-Every variate is a pure function of an integer scope tuple, never of
-execution order.  Shots are grouped into fixed blocks of 2**16; block b
-of a measurement setting draws its uniforms from a Philox generator
-keyed by (seed, setting, b), so a histogram is a pure function of the
-config.
+Every draw is a pure function of an integer scope tuple, never of
+execution order.  A measurement setting draws all of its shots as one
+multinomial from a Philox generator keyed by (seed, setting), so a
+histogram is a pure function of the config.
 """
 
 from __future__ import annotations
@@ -15,9 +14,9 @@ __all__ = [
     "BLOCK_SHOTS",
     "derive_key",
     "scoped_generator",
-    "block_uniforms",
 ]
 
+# no draw uses it; perfbench/run.py imports it for its computed rng.blocks count
 BLOCK_SHOTS = 1 << 16
 
 _MASK = (1 << 64) - 1
@@ -45,9 +44,3 @@ def scoped_generator(*scope: int) -> np.random.Generator:
     """Fresh counter-mode generator for a scope; same scope, same stream."""
     return np.random.Generator(np.random.Philox(key=derive_key(*scope)))
 
-
-def block_uniforms(seed: int, setting_key: int, block_index: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of the (seed, setting, block) stream."""
-    if count < 0 or count > BLOCK_SHOTS:
-        raise ValueError(f"count must lie in 0..{BLOCK_SHOTS}, got {count}")
-    return scoped_generator(seed, setting_key, block_index).random(count)

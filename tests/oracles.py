@@ -201,7 +201,7 @@ class UniformStream:
 
 
 def shot_stream(seed: int, setting_key: int, shot_index: int) -> UniformStream:
-    # offset the scope so shot streams never collide with block streams
+    # offset the scope so shot streams never collide with setting streams
     return UniformStream(scoped_generator(seed, setting_key, shot_index, 0x5A5A5A5A))
 
 

@@ -144,6 +144,40 @@ def test_failure_sweep_zero_point(capsys, tmp_path):
     assert abs(float(p1_row[6]) - 0.017025925925925927) < 1e-15
 
 
+def test_failure_sweep_records_and_hashes_only_what_it_uses(capsys, tmp_path):
+    docs, headers = [], []
+    for grid in ("0.1,0.2", "0.1,0.3"):
+        out = tmp_path / grid
+        argv = ["failure-sweep", "--p-values", grid, "--shots", "2000", "--seed", "7", "--out", str(out)]
+        assert run_cli(argv, capsys)[0] == 0
+        docs.append(json.loads((out / "effective_config.json").read_text()))
+        headers.append((out / "failure_sweep.csv").read_text().splitlines()[0])
+    assert set(docs[0]) == {"code", "p_values", "seed", "shots", "config_hash"}
+    assert not {"gamma", "p", "backend"} & set(docs[0])
+    assert docs[0]["code"] == "s1" and docs[0]["p_values"] == [0.1, 0.2]
+    assert docs[0]["config_hash"] != docs[1]["config_hash"]
+    assert headers[0] == f"# config={docs[0]['config_hash']} seed=7"
+
+
+def test_failure_sweep_code_s0_uses_the_s0_oracle(capsys, tmp_path):
+    from dcqd.analysis import failure_oracle
+    from dcqd.codes import build_s0, build_s1
+
+    argv = ["failure-sweep", "--p-values", "0.05,0.2", "--shots", "2000", "--seed", "7"]
+    assert run_cli(argv + ["--code", "s0", "--out", str(tmp_path / "s0")], capsys)[0] == 0
+    assert run_cli(argv + ["--out", str(tmp_path / "s1")], capsys)[0] == 0
+    s0_oracle, s1_oracle = failure_oracle(build_s0()), failure_oracle(build_s1())
+    for label, oracle in (("s0", s0_oracle), ("s1", s1_oracle)):
+        rows = (tmp_path / label / "failure_sweep.csv").read_text().splitlines()[2:]
+        for row, p in zip(rows, (0.05, 0.2)):
+            assert float(row.split(",")[6]) == oracle.analytic_failure_rate(p)
+    # s0 has no detector bits: its failure rate is linear in p, s1's quadratic
+    assert s0_oracle.analytic_failure_rate(0.05) > 5 * s1_oracle.analytic_failure_rate(0.05)
+    doc = json.loads((tmp_path / "s0" / "effective_config.json").read_text())
+    assert doc["code"] == "s0"
+    assert doc["config_hash"] != json.loads((tmp_path / "s1" / "effective_config.json").read_text())["config_hash"]
+
+
 def test_failure_sweep_rejects_bad_grid(capsys):
     code, out, err = run_cli(["failure-sweep", "--p-values", "0.1,zebra"], capsys)
     assert code == 2

@@ -1,5 +1,8 @@
 """Unit tests for the measurement settings, sampling, and chi estimators."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -277,8 +280,8 @@ def test_partial_diagonal_runs_single_setting(monkeypatch):
 
 
 def test_sampling_reproducible_and_worker_invariant():
-    # counts are a pure function of (seed, setting, shots): the blocks of
-    # 2^16 shots draw from their own streams, not from shared state
+    # counts are a pure function of (seed, setting, shots): each setting
+    # draws from its own stream, not from shared state
     config = make_config(shots=30_000)
     code, chan = resolve_scenario(config)
     op = PreprocessingOp(PreprocessingKind.COHERENCE_UNITARY, 5)
@@ -288,6 +291,70 @@ def test_sampling_reproducible_and_worker_invariant():
     assert np.array_equal(h1.counts, h1b.counts)
     other_seed = run_setting(code, chan, op, config.shots, config.seed + 1, "sampling")
     assert not np.array_equal(h1.counts, other_seed.counts)
+
+
+def _scenario_distribution(scenario: str, label: str) -> np.ndarray:
+    """Flat outcome distribution of one setting of a scenario."""
+    code, chan = resolve_scenario(make_config(scenario=scenario))
+    op = next(op for op in standard_settings() if op.label == label)
+    _, probs = setting_distribution(apply_channel(chan, prepare_probe(code)), op, code)
+    return probs.reshape(-1)
+
+
+@pytest.mark.parametrize("shots", [1, 65_537, 1_000_000])
+def test_sample_flat_counts_sum_to_shots(shots):
+    flat = _scenario_distribution("s1_noisy", "PXI")
+    counts = protocol._sample_flat(flat, shots, 7, 17)
+    assert counts.dtype == np.int64
+    assert counts.shape == flat.shape
+    assert counts.sum() == shots
+
+
+@pytest.mark.parametrize("shots", [1_000_000, 10**18])
+def test_sample_flat_never_draws_zero_probability_bins(shots):
+    # s1_clean UZX ends in zero-probability bins; a plain multinomial hands
+    # the last bin whatever rounding leaves over, which at 1e18 shots is
+    # about a hundred shots on an impossible outcome
+    flat = _scenario_distribution("s1_clean", "UZX")
+    zero = flat == 0.0
+    assert zero[-1] and zero.sum() > 0
+    counts = protocol._sample_flat(flat, shots, 7, 13)
+    assert np.all(counts[zero] == 0)
+    assert counts.sum() == shots
+
+
+def test_sample_flat_fits_distribution():
+    # Pearson chi-square over the bins with mass; the 1e-6 upper tail of
+    # chi-square with df degrees of freedom by the Wilson-Hilferty form
+    # (z = 4.7534 is the standard normal 1e-6 quantile)
+    flat = _scenario_distribution("s1_noisy", "PXI")
+    shots = 1_000_000
+    counts = protocol._sample_flat(flat, shots, 7, 17)
+    live = flat > 0.0
+    expected = shots * flat[live] / flat.sum()
+    stat = float(np.sum((counts[live] - expected) ** 2 / expected))
+    df = int(live.sum()) - 1
+    h = 2.0 / (9.0 * df)
+    threshold = df * (1.0 - h + 4.753424308822899 * np.sqrt(h)) ** 3
+    assert df > 100
+    assert stat < threshold
+
+
+# sha256 of histograms.json "settings" for
+# characterize --scenario s1_noisy --seed 7 --shots 200000
+PINNED_S1_NOISY_SEED7 = "261207346376d17eaabfe5c105a12d243b480c895334af1c1fe1a44668a2464b"
+
+
+def test_sampled_stream_is_pinned(tmp_path):
+    # any change to the sampled stream must be deliberate: update this
+    # digest together with a CHANGES.md entry naming the outputs it moves
+    from dcqd import cli
+
+    argv = ["characterize", "--scenario", "s1_noisy", "--seed", "7", "--shots", "200000"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    settings = json.loads((tmp_path / "histograms.json").read_text())["settings"]
+    canonical = json.dumps(settings, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_S1_NOISY_SEED7
 
 
 def test_histogram_bookkeeping():

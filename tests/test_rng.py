@@ -1,9 +1,8 @@
 """Unit tests for the counter-mode random streams."""
 
 import numpy as np
-import pytest
 
-from dcqd.rng import BLOCK_SHOTS, block_uniforms, derive_key, scoped_generator
+from dcqd.rng import BLOCK_SHOTS, derive_key, scoped_generator
 from oracles import UniformStream, shot_stream
 
 
@@ -24,44 +23,17 @@ def test_derive_key_deterministic_and_frozen():
 
 
 def test_distinct_scopes_give_distinct_streams():
-    base = block_uniforms(1234, 0, 0, 100)
-    assert not np.array_equal(base, block_uniforms(1235, 0, 0, 100))
-    assert not np.array_equal(base, block_uniforms(1234, 1, 0, 100))
-    assert not np.array_equal(base, block_uniforms(1234, 0, 1, 100))
+    base = scoped_generator(1234, 0).random(100)
+    assert not np.array_equal(base, scoped_generator(1235, 0).random(100))
+    assert not np.array_equal(base, scoped_generator(1234, 1).random(100))
+    assert not np.array_equal(base, scoped_generator(1234, 0, 0).random(100))
 
 
-def test_block_uniforms_prefix_property():
-    full = block_uniforms(42, 3, 5, 1000)
-    head = block_uniforms(42, 3, 5, 10)
+def test_scoped_generator_prefix_property():
+    full = scoped_generator(42, 3).random(1000)
+    head = scoped_generator(42, 3).random(10)
     assert np.array_equal(full[:10], head)
     assert np.all((full >= 0.0) & (full < 1.0))
-
-
-def test_block_uniforms_bounds():
-    with pytest.raises(ValueError):
-        block_uniforms(1, 1, 1, BLOCK_SHOTS + 1)
-    with pytest.raises(ValueError):
-        block_uniforms(1, 1, 1, -1)
-    assert block_uniforms(1, 1, 1, 0).shape == (0,)
-
-
-def test_worker_partition_reproduces_serial_stream():
-    # a sharded consumer reading blocks in any order must see the same
-    # variates the serial consumer sees
-    seed, key, total = 99, 4, 3 * BLOCK_SHOTS // 2
-    serial = []
-    remaining = total
-    block = 0
-    while remaining > 0:
-        take = min(remaining, BLOCK_SHOTS)
-        serial.append(block_uniforms(seed, key, block, take))
-        remaining -= take
-        block += 1
-    serial = np.concatenate(serial)
-    shuffled_blocks = [1, 0]
-    parts = {b: block_uniforms(seed, key, b, min(total - b * BLOCK_SHOTS, BLOCK_SHOTS)) for b in shuffled_blocks}
-    merged = np.concatenate([parts[0], parts[1]])
-    assert np.array_equal(serial, merged)
 
 
 def test_scoped_generator_independent_instances():
@@ -83,14 +55,14 @@ def test_shot_stream_sequential_and_scoped():
     assert all(0.0 <= v < 1.0 for v in vals)
 
 
-def test_shot_streams_do_not_alias_block_streams():
-    # shot index 0 must not replay block 0 of the same setting
-    shot_vals = [shot_stream(1234, 0, 0).next_uniform() for _ in range(1)]
-    block_vals = block_uniforms(1234, 0, 0, 1)
-    assert shot_vals[0] != block_vals[0]
+def test_shot_streams_do_not_alias_setting_streams():
+    # shot 0 of a setting must not replay the setting's own stream
+    shot_vals = [shot_stream(1234, 0, 0).next_uniform() for _ in range(4)]
+    setting_vals = scoped_generator(1234, 0).random(4)
+    assert not np.array_equal(shot_vals, setting_vals)
 
 
 def test_uniformity_sanity():
-    u = block_uniforms(2024, 0, 0, BLOCK_SHOTS)
+    u = scoped_generator(2024, 0).random(65_536)
     assert abs(u.mean() - 0.5) < 0.01
     assert abs(np.mean(u < 0.25) - 0.25) < 0.01
