@@ -1,22 +1,24 @@
-"""Kraus-form noise channels embedded on the full register.
+"""Kraus-form noise channels on the full register, in monomial form.
 
-Channels are built already embedded: a single-qubit channel on site q of
-an n-qubit register carries 2^n x 2^n Kraus operators.  Registers here
-are at most 6 qubits, so dense embedding is cheap and keeps application
-code uniform.
+Every Kraus operator here (amplitude damping, Pauli noise, Pauli
+unitaries and their products) has at most one nonzero entry per row, so
+a channel of m operators on n qubits is two ``(m, 2^n)`` arrays with
+``K_a[i, perm[a, i]] = coef[a, i]`` and zeros elsewhere.  Composing and
+applying channels is index arithmetic on them; each entry of such a
+product has a single nonzero term, so the results are bit-identical to
+dense matrix products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import sqrt
 
 import numpy as np
 
 from .pauli import PauliOperator, support as pauli_support, to_matrix
 from .process_matrix import BASIS_INDEX, ProcessMatrix
-from .states import COMPLETENESS_TOL, ContractViolationError, DensityMatrix, apply_channel
+from .states import ContractViolationError, DensityMatrix
 
 __all__ = [
     "QuantumChannel",
@@ -30,37 +32,70 @@ __all__ = [
     "theoretical_chi_ad",
 ]
 
+COMPLETENESS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class QuantumChannel:
+    """Operator a maps basis column ``perm[a, i]`` to row i with weight ``coef[a, i]``."""
+
     n: int
-    kraus: tuple
+    perm: np.ndarray
+    coef: np.ndarray
     label: str
     support: frozenset
 
     def __post_init__(self):
         dim = 2 ** self.n
-        ops = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus)
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise ContractViolationError(
-                    f"Kraus operator shape {k.shape} does not match register dim {dim}"
-                )
-            acc += k.conj().T @ k
-        if np.max(np.abs(acc - np.eye(dim))) > COMPLETENESS_TOL:
+        perm = np.array(self.perm, dtype=np.intp)
+        coef = np.array(self.coef, dtype=np.complex128)
+        if perm.ndim != 2 or perm.shape != coef.shape or perm.shape[1] != dim or not len(perm):
+            raise ContractViolationError(
+                f"perm {perm.shape} and coef {coef.shape} must both be (m, {dim})"
+            )
+        if perm.min() < 0 or perm.max() >= dim:
+            raise ContractViolationError(f"perm entries must lie in 0..{dim - 1}")
+        # sum_a K_a^dag K_a is diagonal for these operators: entry j sums
+        # |coef|^2 over the rows that map column j
+        weight = np.bincount(perm.ravel(), (coef.real ** 2 + coef.imag ** 2).ravel(), dim)
+        if np.max(np.abs(weight - 1.0)) > COMPLETENESS_TOL:
             raise ContractViolationError(f"channel {self.label!r} is not trace preserving")
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        perm.setflags(write=False)
+        coef.setflags(write=False)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "support", frozenset(self.support))
 
+    @property
+    def kraus(self) -> np.ndarray:
+        """One weight row per Kraus operator: ``len`` counts the operators."""
+        return self.coef
 
-def _embed(k: np.ndarray, site: int, n: int) -> np.ndarray:
-    """kron-embed a single-qubit operator at a 1-based site."""
-    factors = [np.eye(2, dtype=np.complex128)] * n
-    factors[site - 1] = k
-    return reduce(np.kron, factors)
+
+def _monomial(ops) -> tuple:
+    """(perm, coef) of a stack of square operators, one nonzero per row at most."""
+    ops = np.asarray(ops, dtype=np.complex128)
+    if np.any(np.count_nonzero(ops, axis=-1) > 1):
+        raise ContractViolationError("Kraus operator has two nonzero entries in one row")
+    perm = np.argmax(ops != 0, axis=-1)
+    return perm, np.take_along_axis(ops, perm[..., None], axis=-1)[..., 0]
+
+
+def _on_site(factors, site: int, n: int, label: str) -> QuantumChannel:
+    """Channel applying 2x2 Kraus ``factors`` at a 1-based site, site 1 most significant."""
+    if not 1 <= site <= n:
+        raise ValueError(f"site {site} out of range 1..{n}")
+    perm, coef = _monomial(factors)
+    shift = n - site
+    rows = np.arange(2 ** n)
+    bit = (rows >> shift) & 1
+    return QuantumChannel(
+        n=n,
+        perm=(rows & ~(1 << shift)) | (perm[:, bit] << shift),
+        coef=coef[:, bit],
+        label=label,
+        support=frozenset({site}),
+    )
 
 
 def amplitude_damping(gamma: float, site: int, n: int) -> QuantumChannel:
@@ -71,60 +106,58 @@ def amplitude_damping(gamma: float, site: int, n: int) -> QuantumChannel:
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range 1..{n}")
     root = sqrt(1.0 - gamma)
     k0 = np.array([[1.0, 0.0], [0.0, root]], dtype=np.complex128)
     k1 = np.array([[0.0, sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
-    return QuantumChannel(
-        n=n,
-        kraus=(_embed(k0, site, n), _embed(k1, site, n)),
-        label=f"AD(gamma={gamma:g}, site={site})",
-        support=frozenset({site}),
-    )
+    return _on_site((k0, k1), site, n, f"AD(gamma={gamma:g}, site={site})")
 
 
 def depolarizing(p: float, site: int, n: int) -> QuantumChannel:
     """Uniform Pauli noise: keep with 1-p, else X, Y or Z with p/3 each."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} out of range 1..{n}")
     x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
     y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
     z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     kraus = (
-        _embed(sqrt(1.0 - p) * np.eye(2, dtype=np.complex128), site, n),
-        _embed(sqrt(p / 3.0) * x, site, n),
-        _embed(sqrt(p / 3.0) * y, site, n),
-        _embed(sqrt(p / 3.0) * z, site, n),
+        sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
+        sqrt(p / 3.0) * x,
+        sqrt(p / 3.0) * y,
+        sqrt(p / 3.0) * z,
     )
-    return QuantumChannel(
-        n=n, kraus=kraus, label=f"DP(p={p:g}, site={site})", support=frozenset({site})
-    )
+    return _on_site(kraus, site, n, f"DP(p={p:g}, site={site})")
 
 
 def identity_channel(n: int) -> QuantumChannel:
+    dim = 2 ** n
     return QuantumChannel(
-        n=n, kraus=(np.eye(2 ** n, dtype=np.complex128),), label="id", support=frozenset()
+        n=n,
+        perm=np.arange(dim)[None, :],
+        coef=np.ones((1, dim), dtype=np.complex128),
+        label="id",
+        support=frozenset(),
     )
 
 
 def pauli_unitary_channel(op: PauliOperator) -> QuantumChannel:
     """Deterministic application of one Pauli, for fault injection."""
+    perm, coef = _monomial(to_matrix(op)[None])
     return QuantumChannel(
-        n=op.n, kraus=(to_matrix(op),), label=f"unitary({op})", support=pauli_support(op)
+        n=op.n, perm=perm, coef=coef, label=f"unitary({op})", support=pauli_support(op)
     )
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
-    """Channel applying ``inner`` first, then ``outer``."""
+    """Channel applying ``inner`` first, then ``outer``; outer-major products outer_a @ inner_b."""
     if outer.n != inner.n:
         raise ValueError(f"cannot compose channels on {outer.n} and {inner.n} qubits")
-    kraus = tuple(a @ b for a in outer.kraus for b in inner.kraus)
+    dim = 2 ** outer.n
+    perm = inner.perm[:, outer.perm].swapaxes(0, 1)
+    coef = outer.coef[:, None, :] * inner.coef[:, outer.perm].swapaxes(0, 1)
     return QuantumChannel(
         n=outer.n,
-        kraus=kraus,
+        perm=perm.reshape(-1, dim),
+        coef=coef.reshape(-1, dim),
         label=f"{outer.label}*{inner.label}",
         support=outer.support | inner.support,
     )
@@ -149,9 +182,14 @@ def channel_from_spec(entries, n: int) -> QuantumChannel:
 
 
 def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
+    """sum_a K_a rho K_a^dag, summed in operator order."""
     if channel.n != rho.n:
         raise ValueError(f"channel on {channel.n} qubits, state on {rho.n}")
-    return apply_channel(rho, channel.kraus)
+    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
+    for p, c in zip(channel.perm, channel.coef):
+        # (K rho K^dag)[i, j] = coef[i] * rho[perm[i], perm[j]] * conj(coef[j])
+        out += (c[:, None] * rho.data[p])[:, p] * c.conj()
+    return DensityMatrix(rho.n, out)
 
 
 def theoretical_chi_ad(gamma: float) -> ProcessMatrix:

@@ -8,7 +8,6 @@ from dataclasses import asdict, dataclass
 
 __all__ = [
     "SCENARIOS",
-    "CODE_SCENARIOS",
     "BACKENDS",
     "DEFAULTS",
     "ConfigError",
@@ -18,10 +17,8 @@ __all__ = [
     "settings_hash",
 ]
 
-# code scenarios drive characterization runs; the last two tokens tag
-# outputs of the other subcommands
-CODE_SCENARIOS = ("clean", "s0_noisy", "s1_noisy", "s1_clean")
-SCENARIOS = CODE_SCENARIOS + ("failure_sweep", "table")
+# the noise scenarios a characterization run can resolve
+SCENARIOS = ("clean", "s0_noisy", "s1_noisy", "s1_clean")
 BACKENDS = ("sampling", "exact")
 
 DEFAULTS = {

@@ -432,8 +432,6 @@ def resolve_scenario(config: ExperimentConfig):
         "s1_noisy": ("s1", config.p),
         "s1_clean": ("s1", 0.0),
     }
-    if config.scenario not in table:
-        raise ConfigError(f"scenario {config.scenario!r} does not describe a characterization run")
     code_label, p_eff = table[config.scenario]
     code = build_s0() if code_label == "s0" else build_s1()
     entries = [{"type": "amplitude_damping", "site": 1, "parameter": config.gamma}]

@@ -15,13 +15,11 @@ __all__ = [
     "DensityMatrix",
     "ContractViolationError",
     "InvalidStateError",
-    "apply_channel",
 ]
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-COMPLETENESS_TOL = 1e-10
 
 
 class ContractViolationError(ValueError):
@@ -56,21 +54,3 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return 2 ** self.n
-
-
-def apply_channel(rho: DensityMatrix, kraus) -> DensityMatrix:
-    """Apply sum_a K_a rho K_a^dag after checking Kraus completeness."""
-    ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
-    if not ops:
-        raise ContractViolationError("empty Kraus list")
-    acc = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    for k in ops:
-        if k.shape != (rho.dim, rho.dim):
-            raise ContractViolationError(f"Kraus shape {k.shape} does not match dim {rho.dim}")
-        acc += k.conj().T @ k
-    if np.max(np.abs(acc - np.eye(rho.dim))) > COMPLETENESS_TOL:
-        raise ContractViolationError("Kraus operators do not sum to identity within 1e-10")
-    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    for k in ops:
-        out += k @ rho.data @ k.conj().T
-    return DensityMatrix(rho.n, out)

@@ -5,6 +5,7 @@
   :mod:`dcqd.protocol`;
 * small dense-state helpers (basis states, unitaries, measurement,
   expectation values, partial trace, state fidelity);
+* the dense Kraus matrices of a channel and the dense sum of K rho K^dag;
 * the operator-sum evaluation of a process matrix;
 * the paper's code certificates: the located-error counting bound and
   the Knill-Laflamme Gram matrix on the codeword.
@@ -165,6 +166,35 @@ def fidelity(rho, sigma) -> float:
         clean = _clamped_psd(state, FIDELITY_EIG_TOL)
         mats.append(clean / clean.trace().real)
     return _fidelity_core(mats[0], mats[1])
+
+
+# ---------------------------------------------------------------- dense channels
+
+
+def dense_kraus(channel: channels_mod.QuantumChannel) -> np.ndarray:
+    """The channel's Kraus operators as a stack of dense 2^n x 2^n matrices."""
+    m, dim = channel.perm.shape
+    ops = np.zeros((m, dim, dim), dtype=np.complex128)
+    ops[np.arange(m)[:, None], np.arange(dim), channel.perm] = channel.coef
+    return ops
+
+
+def apply_channel(rho: DensityMatrix, kraus) -> DensityMatrix:
+    """Apply sum_a K_a rho K_a^dag after checking Kraus completeness."""
+    ops = [np.asarray(k, dtype=np.complex128) for k in kraus]
+    if not ops:
+        raise ContractViolationError("empty Kraus list")
+    acc = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
+    for k in ops:
+        if k.shape != (rho.dim, rho.dim):
+            raise ContractViolationError(f"Kraus shape {k.shape} does not match dim {rho.dim}")
+        acc += k.conj().T @ k
+    if np.max(np.abs(acc - np.eye(rho.dim))) > channels_mod.COMPLETENESS_TOL:
+        raise ContractViolationError("Kraus operators do not sum to identity within 1e-10")
+    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
+    for k in ops:
+        out += k @ rho.data @ k.conj().T
+    return DensityMatrix(rho.n, out)
 
 
 # ---------------------------------------------------------------- process matrices

@@ -1,8 +1,11 @@
 """Unit tests for the noise channels and the closed-form damping chi."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from dcqd import channels
 from dcqd.channels import (
     QuantumChannel,
     amplitude_damping,
@@ -16,14 +19,14 @@ from dcqd.channels import (
 )
 from dcqd.pauli import parse_pauli, single_site
 from dcqd.process_matrix import BASIS_INDEX
-from dcqd.states import DensityMatrix
-from oracles import apply_process, basis_state, partial_trace
+from dcqd.states import ContractViolationError, DensityMatrix
+from oracles import apply_process, basis_state, dense_kraus, partial_trace
 
 
 def completeness_defect(channel):
-    dim = channel.kraus[0].shape[0]
-    acc = sum(k.conj().T @ k for k in channel.kraus)
-    return np.max(np.abs(acc - np.eye(dim)))
+    kraus = dense_kraus(channel)
+    acc = sum(k.conj().T @ k for k in kraus)
+    return np.max(np.abs(acc - np.eye(kraus.shape[1])))
 
 
 def test_amplitude_damping_completeness():
@@ -79,6 +82,48 @@ def test_embedding_acts_only_on_named_site():
     rho = apply(chan, basis_state(2, 0b10))  # site 1 excited, site 2 ground
     assert np.allclose(rho.data, np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-12)
     assert chan.support == frozenset({2})
+
+
+def kron_embed(k, site, n):
+    factors = [np.eye(2, dtype=np.complex128)] * n
+    factors[site - 1] = k
+    return reduce(np.kron, factors)
+
+
+def test_site_lift_matches_kron_embedding():
+    # index arithmetic puts each 2x2 factor where kron(I, .., k, .., I) does
+    for n, site in ((1, 1), (3, 1), (3, 2), (4, 4)):
+        for build, strength in ((amplitude_damping, 0.3), (depolarizing, 0.2)):
+            local = dense_kraus(build(strength, 1, 1))
+            lifted = dense_kraus(build(strength, site, n))
+            assert len(local) == len(lifted)
+            for k, big in zip(local, lifted):
+                assert np.array_equal(kron_embed(k, site, n), big)
+
+
+def test_compose_matches_dense_products_exactly():
+    outer = amplitude_damping(0.4, 2, 3)
+    inner = compose(depolarizing(0.3, 1, 3), pauli_unitary_channel(parse_pauli("YZX")))
+    dense = [a @ b for a in dense_kraus(outer) for b in dense_kraus(inner)]
+    assert np.array_equal(dense_kraus(compose(outer, inner)), np.array(dense))
+
+
+def test_constructor_rejects_two_nonzeros_in_a_row():
+    shear = np.array([[0.6, 0.8], [0.0, 1.0]], dtype=np.complex128)
+    with pytest.raises(ContractViolationError):
+        channels._on_site((shear,), 1, 2, "shear")
+
+
+def test_constructor_rejects_non_trace_preserving_sets():
+    with pytest.raises(ContractViolationError):
+        QuantumChannel(n=1, perm=[[0, 1]], coef=[[0.9, 0.9]], label="lossy", support={1})
+    with pytest.raises(ContractViolationError):
+        # both rows read column 0: column 1 carries no weight
+        QuantumChannel(n=1, perm=[[0, 0]], coef=[[1.0, 1.0]], label="collapse", support={1})
+    with pytest.raises(ContractViolationError):
+        QuantumChannel(n=1, perm=[[0, 2]], coef=[[1.0, 1.0]], label="range", support={1})
+    with pytest.raises(ContractViolationError):
+        QuantumChannel(n=2, perm=[[0, 1]], coef=[[1.0, 1.0]], label="shape", support={1})
 
 
 def test_parameter_validation():
@@ -173,7 +218,7 @@ def test_chi_reproduces_kraus_action(rng):
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             v /= np.linalg.norm(v)
             rho = np.outer(v, v.conj())
-            direct = sum(k @ rho @ k.conj().T for k in chan.kraus)
+            direct = sum(k @ rho @ k.conj().T for k in dense_kraus(chan))
             assert np.allclose(apply_process(chi, rho), direct, atol=1e-12)
 
 

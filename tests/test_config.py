@@ -6,7 +6,6 @@ import pytest
 
 from dcqd.config import (
     BACKENDS,
-    CODE_SCENARIOS,
     DEFAULTS,
     ConfigError,
     ExperimentConfig,
@@ -24,9 +23,15 @@ def test_defaults_are_valid():
 
 
 def test_scenario_vocabulary():
-    assert set(CODE_SCENARIOS) == {"clean", "s0_noisy", "s1_noisy", "s1_clean"}
-    assert set(SCENARIOS) - set(CODE_SCENARIOS) == {"failure_sweep", "table"}
+    assert set(SCENARIOS) == {"clean", "s0_noisy", "s1_noisy", "s1_clean"}
     assert BACKENDS == ("sampling", "exact")
+
+
+@pytest.mark.parametrize("scenario", ["table", "failure_sweep"])
+def test_subcommand_tags_are_not_scenarios(scenario):
+    # no subcommand records these tags any more, so no config may carry them
+    with pytest.raises(ConfigError, match="scenario"):
+        ExperimentConfig(scenario=scenario)
 
 
 def test_validation_messages_name_the_field():

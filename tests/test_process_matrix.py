@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dcqd.process_matrix import BASIS_INDEX, BASIS_LABELS, ProcessMatrix, basis_paulis
-from oracles import apply_process, basis_matrices
+from oracles import apply_process, basis_matrices, dense_kraus
 
 CANONICAL = (
     "II", "XI", "YI", "ZI", "IX", "IY", "IZ",
@@ -75,15 +75,15 @@ def test_apply_process_matches_kraus_oracle(rng):
     from dcqd.channels import amplitude_damping
 
     gamma = 0.37
-    chan = amplitude_damping(gamma, site=1, n=2)
+    kraus = dense_kraus(amplitude_damping(gamma, site=1, n=2))
     mats = basis_matrices()
-    coeff = np.array([[np.trace(f.conj().T @ k) / 4.0 for f in mats] for k in chan.kraus])
+    coeff = np.array([[np.trace(f.conj().T @ k) / 4.0 for f in mats] for k in kraus])
     chi = ProcessMatrix(np.einsum("am,an->mn", coeff, coeff.conj()))
     for _ in range(20):
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
         v /= np.linalg.norm(v)
         rho = np.outer(v, v.conj())
-        direct = sum(k @ rho @ k.conj().T for k in chan.kraus)
+        direct = sum(k @ rho @ k.conj().T for k in kraus)
         assert np.allclose(apply_process(chi, rho), direct, atol=1e-12)
 
 

@@ -9,14 +9,16 @@ from hypothesis import given, settings, strategies as st
 from dcqd.analysis import channel_fidelity_vs_theory
 from dcqd.channels import apply, channel_from_spec
 from dcqd.codes import build_s0, build_s1
-from dcqd.config import CODE_SCENARIOS, ExperimentConfig
+from dcqd.config import SCENARIOS, ExperimentConfig
 from dcqd.protocol import (
     characterize,
     partial_characterize,
     prepare_probe,
+    resolve_scenario,
     setting_distribution,
     standard_settings,
 )
+from oracles import apply_channel, dense_kraus
 
 # few, fixed examples: each one runs real characterizations
 FEW = settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -49,7 +51,7 @@ def test_partial_equals_full_bit_for_bit(backend, shots, scenario, pairs):
 @pytest.mark.filterwarnings("ignore:clamping severely negative")
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(
-    scenario=st.sampled_from(CODE_SCENARIOS),
+    scenario=st.sampled_from(SCENARIOS),
     shots=st.sampled_from((200, 1000, 5000, 20_000)),
     seed=st.integers(0, 2**31),
 )
@@ -57,6 +59,18 @@ def test_channel_fidelity_lies_in_unit_interval(scenario, shots, seed):
     config = ExperimentConfig(scenario=scenario, shots=shots, seed=seed)
     value = channel_fidelity_vs_theory(characterize(config).chi, config.gamma).value
     assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+@FEW
+@given(scenario=st.sampled_from(("s0_noisy", "s1_noisy")), gamma=strengths, p=strengths)
+def test_channel_apply_matches_dense_kraus_oracle(scenario, gamma, p):
+    code, channel = resolve_scenario(ExperimentConfig(scenario=scenario, gamma=gamma, p=p))
+    probe = prepare_probe(code)
+    got = apply(channel, probe).data
+    want = apply_channel(probe, dense_kraus(channel)).data
+    # each entry of K rho K^dag has one nonzero term, so the gathers
+    # compute the very products the dense matmuls do
+    assert np.array_equal(got, want)
 
 
 @FEW
@@ -73,7 +87,7 @@ def test_setting_distributions_are_probability_vectors(code, gamma, p):
 
 
 @FEW
-@given(scenario=st.sampled_from(CODE_SCENARIOS), gamma=strengths, p=strengths)
+@given(scenario=st.sampled_from(SCENARIOS), gamma=strengths, p=strengths)
 def test_exact_chi_is_hermitian_with_unit_trace(scenario, gamma, p):
     config = ExperimentConfig(scenario=scenario, gamma=gamma, p=p, shots=1, backend="exact")
     chi = characterize(config).chi.data

@@ -357,6 +357,33 @@ def test_sampled_stream_is_pinned(tmp_path):
     assert hashlib.sha256(canonical.encode()).hexdigest() == PINNED_S1_NOISY_SEED7
 
 
+# sha256 of the chi CSV data rows (comment lines dropped) and of
+# histograms.json "settings" for characterize --backend exact --gamma 0.4
+# --p 0.1, hashed as perfbench/run.py data_rows_digest does; the same
+# values as perfbench/digests.json
+PINNED_EXACT_P01 = {
+    "s0_noisy": "fcc95ea86eb8afcba88b0c46e7b135051447e90d65b7bb11af9ca94446f8744d",
+    "s1_noisy": "943a6b109f28fd56363b9fe863f70bd85fb71df57070f60761d92b7eb5c68cee",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_EXACT_P01))
+def test_exact_backend_is_pinned(scenario, tmp_path):
+    # the exact backend is the bit-level regression oracle: no change to
+    # the channel or the distributions may move a single output bit
+    from dcqd import cli
+
+    argv = ["characterize", "--scenario", scenario, "--gamma", "0.4", "--p", "0.1"]
+    assert cli.main(argv + ["--seed", "1", "--backend", "exact", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256()
+    for name in ("chi_real.csv", "chi_imag.csv"):
+        text = (tmp_path / name).read_text()
+        digest.update("\n".join(l for l in text.splitlines() if not l.startswith("#")).encode())
+    settings = json.loads((tmp_path / "histograms.json").read_text())["settings"]
+    digest.update(json.dumps(settings, sort_keys=True).encode())
+    assert digest.hexdigest() == PINNED_EXACT_P01[scenario]
+
+
 def test_histogram_bookkeeping():
     config = make_config(shots=10_000, scenario="s0_noisy")
     result = characterize(config)

