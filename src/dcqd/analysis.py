@@ -10,8 +10,10 @@ Two jobs live here:
   (exact rational coefficients) and by Monte-Carlo simulation.
 
 The Monte-Carlo part never touches density matrices: a Pauli error has a
-deterministic syndrome, so each shot reduces to sampling one letter per
-ancilla site and XOR-ing precomputed syndrome words.
+deterministic syndrome, so every shot falls into one of four classes
+(no error, detected, stabilizer, impostor) whose probabilities follow
+from the enumeration's per-weight tallies, and each grid point draws one
+multinomial over those classes.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .channels import theoretical_chi_ad
 from .codes import StabilizerCode, build_s1, syndrome_of_error
 from .pauli import PauliOperator
 from .process_matrix import ProcessMatrix
-from .rng import scoped_generator
+from .rng import sample_counts
 from .states import InvalidStateError
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
 FIDELITY_EIG_TOL = 1e-9
 SEVERE_NEGATIVE_EIG = 1e-3
 _SWEEP_STREAM_TAG = 0x4641494C
-_SWEEP_CHUNK = 1 << 20
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -215,6 +216,23 @@ class FailureOracle:
             for w, c in enumerate(self.failure_coefficients)
         )
 
+    def class_probabilities(self, p: float) -> np.ndarray:
+        """Probabilities of (no error, detected, stabilizer, impostor).
+
+        A weight-w ancilla pattern has probability (p/3)^w (1-p)^(a-w),
+        so each class's mass sums that over its per-weight tally.
+        """
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"depolarizing strength {p} outside [0, 1]")
+        a = self.ancilla_size
+        tallies = np.array(
+            [(c.detected, c.stabilizer, c.impostor) for c in self.weight_counts],
+            dtype=np.float64,
+        )
+        weights = np.arange(1, a + 1)
+        pattern = (p / 3.0) ** weights * (1.0 - p) ** (a - weights)
+        return np.concatenate(([(1.0 - p) ** a], pattern @ tallies))
+
 
 def _ancilla_operator(code: StabilizerCode, sites: tuple, letters: tuple) -> PauliOperator:
     x = [0] * code.n
@@ -297,16 +315,6 @@ class FailureRateReport:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
 
-def _ancilla_syndrome_words(code: StabilizerCode, sites: tuple) -> np.ndarray:
-    """Syndrome integers of single-letter errors, shape (len(sites), 3)."""
-    words = np.zeros((len(sites), 3), dtype=np.int64)
-    for si, site in enumerate(sites):
-        for li, letter in enumerate("XYZ"):
-            op = _ancilla_operator(code, (site,), (letter,))
-            words[si, li] = syndrome_of_error(code, op).to_int()
-    return words
-
-
 def failure_rate_experiment(
     p_values,
     shots: int,
@@ -317,52 +325,28 @@ def failure_rate_experiment(
 
     The principal sites stay noiseless, so the only randomness is the
     letter drawn on each ancilla site: identity with probability 1 - p,
-    otherwise X, Y, Z with probability p/3 each.  Syndromes follow by
-    XOR of per-site words.  Each grid point gets its own deterministic
-    stream derived from (seed, point index).
+    otherwise X, Y, Z with probability p/3 each.  Each shot's syndrome
+    class is fixed by its pattern, so the shots of one grid point are one
+    multinomial over the four classes of ``FailureOracle.class_probabilities``,
+    drawn from its own deterministic stream derived from (seed, point
+    index).
     """
     if code is None:
         code = build_s1()
     if shots < 1:
         raise ValueError(f"shots must be positive, got {shots}")
     oracle = failure_oracle(code)
-    sites = tuple(sorted(code.ancilla_sites))
-    words = _ancilla_syndrome_words(code, sites)
-    shift = code.r - code.detection_prefix
     reports = []
     for index, p in enumerate(p_values):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"depolarizing strength {p} outside [0, 1]")
-        rng = scoped_generator(seed, _SWEEP_STREAM_TAG, index)
-        zero_syndrome = 0
-        zero_with_error = 0
-        impostor = 0
-        done = 0
-        while done < shots:
-            count = min(_SWEEP_CHUNK, shots - done)
-            u = rng.random((count, len(sites)))
-            erred = u >= 1.0 - p
-            if p > 0.0:
-                # letters indexed 0..2 inside the error mass, split in thirds
-                letter = np.clip(((u - (1.0 - p)) * (3.0 / p)).astype(np.int64), 0, 2)
-            else:
-                letter = np.zeros_like(u, dtype=np.int64)
-            syn = np.zeros(count, dtype=np.int64)
-            for si in range(len(sites)):
-                syn ^= np.where(erred[:, si], words[si, letter[:, si]], 0)
-            zero = syn == 0
-            any_error = erred.any(axis=1)
-            zero_syndrome += int(zero.sum())
-            zero_with_error += int((zero & any_error).sum())
-            impostor += int(((syn >> shift) == 0).sum() - zero.sum())
-            done += count
-        delta = zero_with_error / shots
+        counts = sample_counts(oracle.class_probabilities(p), shots, seed, _SWEEP_STREAM_TAG, index)
+        clean, _, stabilizer, impostor = (int(c) for c in counts)
+        delta = stabilizer / shots
         p_00 = impostor / shots
         reports.append(
             FailureRateReport(
                 p=float(p),
-                p_identity_syndrome=zero_syndrome / shots,
-                p_identity_operator=(1.0 - p) ** len(sites),
+                p_identity_syndrome=(clean + stabilizer) / shots,
+                p_identity_operator=(1.0 - p) ** oracle.ancilla_size,
                 delta_p1=delta,
                 p_00=p_00,
                 p_F=p_00 + delta,

@@ -34,6 +34,7 @@ from .analysis import (
     chi_distance_report,
     failure_oracle,
     failure_rate_experiment,
+    loglog_slope,
 )
 from .channels import apply, pauli_unitary_channel, theoretical_chi_ad
 from .codes import build_s0, build_s1, located_error_table
@@ -296,6 +297,26 @@ def _selftest_checks():
             return f"sampled accepted fraction {frac} vs exact mass {mass} (5 sigma = {5.0 * sigma})"
         return None
 
+    def check_chi_slope():
+        # exact chi error and infidelity scale as p^w_min, w_min the
+        # leading weight of the oracle's failure polynomial
+        grid = (0.005, 0.01, 0.02, 0.05, 0.1)
+        theory = theoretical_chi_ad(0.4)
+        for scenario, build in (("s0_noisy", build_s0), ("s1_noisy", build_s1)):
+            coefficients = failure_oracle(build()).failure_coefficients
+            w_min = next(w + 1 for w, c in enumerate(coefficients) if c)
+            errors, infidelities = [], []
+            for p in grid:
+                cfg = ExperimentConfig(scenario=scenario, gamma=0.4, p=p, shots=1, backend="exact")
+                chi = characterize(cfg).chi
+                errors.append(chi_distance_report(chi, theory).max_abs)
+                infidelities.append(1.0 - channel_fidelity_vs_theory(chi, 0.4).value)
+            for name, ys in (("max|chi - chi_AD|", errors), ("1 - F", infidelities)):
+                slope = loglog_slope(grid, ys)
+                if not abs(slope - w_min) < 0.15:
+                    return f"{scenario}: log-log slope of {name} is {slope:.3f}, leading failure weight {w_min}"
+        return None
+
     return [
         ("golden table", check_table),
         ("codeword superposition", check_codeword),
@@ -304,6 +325,7 @@ def _selftest_checks():
         ("ancilla filter soundness", check_filter),
         ("same-config rerun", check_rerun),
         ("sampler vs exact accepted mass", check_sampler),
+        ("chi error slope vs leading failure weight", check_chi_slope),
     ]
 
 

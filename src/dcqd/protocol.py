@@ -48,7 +48,7 @@ from .codes import (
 )
 from .config import ConfigError, ExperimentConfig
 from .process_matrix import BASIS_LABELS, BASIS_INDEX, ProcessMatrix, basis_paulis
-from .rng import scoped_generator
+from .rng import sample_counts
 from .states import DensityMatrix
 
 __all__ = [
@@ -271,21 +271,6 @@ def setting_distribution(
     return (1, -1), np.stack(rows)
 
 
-def _sample_flat(flat_probs: np.ndarray, shots: int, seed: int, setting_key: int) -> np.ndarray:
-    """Counts of ``shots`` categorical draws: one multinomial per setting.
-
-    Only the bins with positive mass enter the draw.  The last bin of a
-    multinomial takes whatever the others leave, so a trailing zero bin
-    could otherwise pick up a shot through rounding in the conditional
-    ratios; this way a zero-probability outcome is never counted.
-    """
-    support = np.flatnonzero(flat_probs)
-    mass = flat_probs[support]
-    counts = np.zeros(flat_probs.size, dtype=np.int64)
-    counts[support] = scoped_generator(seed, setting_key).multinomial(shots, mass / mass.sum())
-    return counts
-
-
 def _accepted_mass(counts: np.ndarray, code: StabilizerCode) -> float:
     """Mass of the syndromes whose ancilla-detector bits are all clear.
 
@@ -316,7 +301,7 @@ def run_setting(
         counts = probs.astype(np.float64)
         total = 1.0
     elif backend == "sampling":
-        flat = _sample_flat(probs.reshape(-1), shots, seed, op.setting_key)
+        flat = sample_counts(probs.reshape(-1), shots, seed, op.setting_key)
         counts = flat.reshape(probs.shape).astype(np.float64)
         total = float(shots)
     else:

@@ -1,9 +1,11 @@
 """Deterministic random streams from key-derived counter-mode generators.
 
 Every draw is a pure function of an integer scope tuple, never of
-execution order.  A measurement setting draws all of its shots as one
-multinomial from a Philox generator keyed by (seed, setting), so a
-histogram is a pure function of the config.
+execution order.  Both sampled jobs draw through :func:`sample_counts`:
+a measurement setting draws all of its shots as one multinomial from a
+Philox generator keyed by (seed, setting), and a failure-sweep point
+draws its shot classes from one keyed by (seed, sweep tag, point), so a
+histogram or a sweep row is a pure function of the config.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 __all__ = [
     "BLOCK_SHOTS",
     "derive_key",
+    "sample_counts",
     "scoped_generator",
 ]
 
@@ -44,3 +47,18 @@ def scoped_generator(*scope: int) -> np.random.Generator:
     """Fresh counter-mode generator for a scope; same scope, same stream."""
     return np.random.Generator(np.random.Philox(key=derive_key(*scope)))
 
+
+def sample_counts(probs: np.ndarray, shots: int, *scope: int) -> np.ndarray:
+    """Counts of ``shots`` categorical draws over ``probs``, one multinomial.
+
+    The draw comes from the scope's stream, and only the bins with
+    positive mass enter it.  The last bin of a multinomial takes whatever
+    the others leave, so a trailing zero bin could otherwise pick up a
+    shot through rounding in the conditional ratios; this way a
+    zero-probability outcome is never counted.
+    """
+    support = np.flatnonzero(probs)
+    mass = probs[support]
+    counts = np.zeros(probs.size, dtype=np.int64)
+    counts[support] = scoped_generator(*scope).multinomial(shots, mass / mass.sum())
+    return counts

@@ -7,6 +7,9 @@
   expectation values, partial trace, state fidelity);
 * the dense Kraus matrices of a channel and the dense sum of K rho K^dag;
 * the operator-sum evaluation of a process matrix;
+* the per-weight classification of ancilla Pauli errors by XOR of
+  single-letter syndrome words, which checks the enumeration oracle the
+  failure sweep draws from;
 * the paper's code certificates: the located-error counting bound and
   the Knill-Laflamme Gram matrix on the codeword.
 """
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import numpy as np
@@ -22,8 +26,14 @@ import numpy as np
 from dcqd import channels as channels_mod
 from dcqd import pauli
 from dcqd.analysis import FIDELITY_EIG_TOL, _clamped_psd, _fidelity_core
-from dcqd.codes import Syndrome, StabilizerCode, codeword_state, located_error_table
-from dcqd.pauli import PauliOperator, to_matrix
+from dcqd.codes import (
+    Syndrome,
+    StabilizerCode,
+    codeword_state,
+    located_error_table,
+    syndrome_of_error,
+)
+from dcqd.pauli import PauliOperator, single_site, to_matrix
 from dcqd.process_matrix import ProcessMatrix, basis_paulis
 from dcqd.protocol import (
     PreprocessingKind,
@@ -270,6 +280,49 @@ def run_shot(
         record, rho = measure_generator(rho, g, stream.next_uniform(), generator_index=gi)
         bits.append(0 if record.outcome == 1 else 1)
     return ShotRecord(setting=op, projective_outcome=outcome, syndrome=Syndrome(tuple(bits)))
+
+
+# ---------------------------------------------------------------- ancilla failures
+
+
+def ancilla_syndrome_words(code: StabilizerCode) -> np.ndarray:
+    """Syndrome integers of single-letter ancilla errors, shape (a, 3)."""
+    return np.array(
+        [
+            [syndrome_of_error(code, single_site(code.n, site, letter)).to_int() for letter in "XYZ"]
+            for site in sorted(code.ancilla_sites)
+        ],
+        dtype=np.int64,
+    )
+
+
+def xor_failure_tallies(code: StabilizerCode) -> dict:
+    """Per-weight (detected, stabilizer, impostor) counts by syndrome XOR.
+
+    Syndromes are linear in the error, so each of the 4^a - 1 non-identity
+    ancilla patterns has the XOR of its letters' single-site words.  A
+    pattern is detected when a detector-prefix bit (the leading, most
+    significant bits) is set, a stabilizer when the syndrome is zero, and
+    an impostor otherwise.
+    """
+    words = ancilla_syndrome_words(code)
+    shift = code.r - code.detection_prefix
+    tallies = {w: [0, 0, 0] for w in range(1, len(words) + 1)}
+    for letters in product(range(4), repeat=len(words)):
+        weight = sum(1 for letter in letters if letter)
+        if weight == 0:
+            continue
+        syn = 0
+        for site_words, letter in zip(words, letters):
+            if letter:
+                syn ^= int(site_words[letter - 1])
+        if syn >> shift:
+            tallies[weight][0] += 1
+        elif syn == 0:
+            tallies[weight][1] += 1
+        else:
+            tallies[weight][2] += 1
+    return {w: tuple(t) for w, t in tallies.items()}
 
 
 # ---------------------------------------------------------------- code certificates

@@ -144,8 +144,9 @@ def test_criterion_7_failure_scaling_quadratic_vs_linear():
 
 
 def test_criterion_8_reproducible_and_worker_invariant():
-    # every shot block draws from its own (seed, setting, block) stream, so
-    # a rerun of the same config reproduces every count and every digit
+    # every setting draws one multinomial from its own (seed, setting)
+    # stream, so a rerun of the same config reproduces every count and
+    # every digit
     shots = min(ACCEPTANCE_SHOTS, 100_000)
     config = config_for("s1_noisy", shots)
     first = characterize(config)

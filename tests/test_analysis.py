@@ -24,7 +24,7 @@ from dcqd.config import ExperimentConfig
 from dcqd.process_matrix import BASIS_INDEX, ProcessMatrix
 from dcqd.protocol import characterize
 from dcqd.states import DensityMatrix, InvalidStateError
-from oracles import basis_state, fidelity
+from oracles import basis_state, fidelity, xor_failure_tallies
 
 
 def test_fidelity_identical_states():
@@ -116,6 +116,16 @@ def test_weight4_stabilizers_act_trivially():
     assert found == 3
 
 
+@pytest.mark.parametrize("build", [build_s0, build_s1], ids=["s0", "s1"])
+def test_oracle_tallies_match_syndrome_xor_classification(build):
+    # the sweep draws its classes from these tallies, so they are checked
+    # against an independent classification of all 4^a ancilla patterns
+    code = build()
+    oracle = failure_oracle(code)
+    got = {c.weight: (c.detected, c.stabilizer, c.impostor) for c in oracle.weight_counts}
+    assert got == xor_failure_tallies(code)
+
+
 def test_analytic_failure_rate_frozen_value():
     oracle = failure_oracle()
     assert abs(oracle.analytic_failure_rate(0.1) - 0.017025925925925927) < 1e-15
@@ -141,6 +151,15 @@ def test_failure_rate_experiment_zero_noise():
     assert report.p_00 == 0.0
     assert report.p_F == 0.0
     assert report.analytic_p_F == 0.0
+
+
+def test_failure_rate_experiment_full_noise():
+    # at p=1 every ancilla site errs, so no shot is error-free: every
+    # zero syndrome comes from a stabilizer pattern
+    for code in (build_s0(), build_s1()):
+        (report,) = failure_rate_experiment([1.0], shots=10_000, seed=7, code=code)
+        assert report.p_identity_operator == 0.0
+        assert report.p_identity_syndrome == report.delta_p1
 
 
 def test_failure_rate_experiment_matches_oracle():
@@ -169,6 +188,29 @@ def test_failure_rate_experiment_validation():
         failure_rate_experiment([0.5], shots=0, seed=1)
     with pytest.raises(ValueError):
         failure_rate_experiment([1.5], shots=10, seed=1)
+
+
+@pytest.mark.parametrize(
+    "scenario, build", [("s0_noisy", build_s0), ("s1_noisy", build_s1)], ids=["s0_noisy", "s1_noisy"]
+)
+def test_chi_error_slope_matches_leading_failure_weight(scenario, build):
+    # the rate of filtering follows the code: the leading power of P_F(p)
+    # is the smallest weight with a nonzero failure coefficient (1 for s0,
+    # 2 for s1), and the exact chi error and infidelity scale with that
+    # same power (measured 0.985 and 1.002 for s0, 2.072 and 2.075 for
+    # s1); 0.15 leaves room for the higher-order terms up to p = 0.1
+    coefficients = failure_oracle(build()).failure_coefficients
+    w_min = next(w + 1 for w, c in enumerate(coefficients) if c)
+    grid = (0.005, 0.01, 0.02, 0.05, 0.1)
+    theory = theoretical_chi_ad(0.4)
+    errors, infidelities = [], []
+    for p in grid:
+        config = ExperimentConfig(scenario=scenario, gamma=0.4, p=p, shots=1, backend="exact")
+        chi = characterize(config).chi
+        errors.append(chi_distance_report(chi, theory).max_abs)
+        infidelities.append(1.0 - channel_fidelity_vs_theory(chi, 0.4).value)
+    assert abs(loglog_slope(grid, errors) - w_min) < 0.15
+    assert abs(loglog_slope(grid, infidelities) - w_min) < 0.15
 
 
 def test_loglog_slope_recovers_exponent():

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line entry points."""
 
+import hashlib
 import json
 
 import pytest
@@ -142,6 +143,24 @@ def test_failure_sweep_zero_point(capsys, tmp_path):
     assert float(zero_row[6]) == 0.0  # analytic
     p1_row = lines[3].split(",")
     assert abs(float(p1_row[6]) - 0.017025925925925927) < 1e-15
+
+
+# sha256 of the failure_sweep.csv data rows (comment and column header
+# dropped, rows joined by newlines) for failure-sweep --seed 7 --shots 200000
+PINNED_SWEEP_SEED7 = {
+    "s1": "b86922b51e6b8856c05ddbf800b2156ca03a734dda107abc9e03d6383ffd760f",
+    "s0": "9396336be514ba6344cf39bbcef6828a40e296ae3ff604d920fae722ec2ead26",
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_SWEEP_SEED7))
+def test_failure_sweep_stream_is_pinned(label, capsys, tmp_path):
+    # any change to the sweep's stream must be deliberate: update this
+    # digest together with a CHANGES.md entry naming the rows it moves
+    argv = ["failure-sweep", "--code", label, "--seed", "7", "--shots", "200000", "--out", str(tmp_path)]
+    assert run_cli(argv, capsys)[0] == 0
+    rows = (tmp_path / "failure_sweep.csv").read_text().splitlines()[2:]
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == PINNED_SWEEP_SEED7[label]
 
 
 def test_failure_sweep_records_and_hashes_only_what_it_uses(capsys, tmp_path):

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dcqd.analysis import channel_fidelity_vs_theory
+from dcqd.analysis import (
+    _SWEEP_STREAM_TAG,
+    channel_fidelity_vs_theory,
+    failure_oracle,
+)
 from dcqd.channels import apply, channel_from_spec
 from dcqd.codes import build_s0, build_s1
 from dcqd.config import SCENARIOS, ExperimentConfig
@@ -18,6 +22,7 @@ from dcqd.protocol import (
     setting_distribution,
     standard_settings,
 )
+from dcqd.rng import sample_counts
 from oracles import apply_channel, dense_kraus
 
 # few, fixed examples: each one runs real characterizations
@@ -27,6 +32,11 @@ elements = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=4
 )
 strengths = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@lru_cache(maxsize=None)
+def oracle_of(build):
+    return failure_oracle(build())
 
 
 @lru_cache(maxsize=None)
@@ -93,3 +103,22 @@ def test_exact_chi_is_hermitian_with_unit_trace(scenario, gamma, p):
     chi = characterize(config).chi.data
     assert np.array_equal(chi, chi.conj().T)
     assert abs(np.trace(chi) - 1.0) < 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    build=st.sampled_from((build_s0, build_s1)),
+    p=strengths,
+    shots=st.integers(1, 10**15),
+    seed=st.integers(0, 2**31),
+)
+def test_failure_sweep_classes_partition_the_shots(build, p, shots, seed):
+    oracle = oracle_of(build)
+    probs = oracle.class_probabilities(p)
+    assert probs.min() >= 0.0
+    assert abs(probs.sum() - 1.0) < 1e-12
+    # stabilizer plus impostor mass is the enumerated failure polynomial
+    assert abs(probs[2] + probs[3] - oracle.analytic_failure_rate(p)) < 1e-15
+    counts = sample_counts(probs, shots, seed, _SWEEP_STREAM_TAG, 0)
+    assert counts.sum() == shots
+    assert np.all(counts[probs == 0.0] == 0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import dcqd.protocol as protocol
+from dcqd.analysis import failure_oracle
 from dcqd.channels import (
     amplitude_damping,
     apply as apply_channel,
@@ -36,6 +37,7 @@ from dcqd.protocol import (
     standard_settings,
     syndrome_basis,
 )
+from dcqd.rng import sample_counts
 from oracles import run_shot, shot_stream
 
 
@@ -304,7 +306,7 @@ def _scenario_distribution(scenario: str, label: str) -> np.ndarray:
 @pytest.mark.parametrize("shots", [1, 65_537, 1_000_000])
 def test_sample_flat_counts_sum_to_shots(shots):
     flat = _scenario_distribution("s1_noisy", "PXI")
-    counts = protocol._sample_flat(flat, shots, 7, 17)
+    counts = sample_counts(flat, shots, 7, 17)
     assert counts.dtype == np.int64
     assert counts.shape == flat.shape
     assert counts.sum() == shots
@@ -318,9 +320,21 @@ def test_sample_flat_never_draws_zero_probability_bins(shots):
     flat = _scenario_distribution("s1_clean", "UZX")
     zero = flat == 0.0
     assert zero[-1] and zero.sum() > 0
-    counts = protocol._sample_flat(flat, shots, 7, 13)
+    counts = sample_counts(flat, shots, 7, 13)
     assert np.all(counts[zero] == 0)
     assert counts.sum() == shots
+    # the failure sweep's four classes: at p=0 only "no error" has mass
+    # (the last bin, impostor, is zero), at p=1 "no error" has none, and
+    # s0 has no detected class at any p
+    for build in (build_s0, build_s1):
+        oracle = failure_oracle(build())
+        for p in (0.0, 1.0):
+            probs = oracle.class_probabilities(p)
+            zero = probs == 0.0
+            assert zero.any()
+            counts = sample_counts(probs, shots, 7, 13)
+            assert np.all(counts[zero] == 0)
+            assert counts.sum() == shots
 
 
 def test_sample_flat_fits_distribution():
@@ -329,7 +343,7 @@ def test_sample_flat_fits_distribution():
     # (z = 4.7534 is the standard normal 1e-6 quantile)
     flat = _scenario_distribution("s1_noisy", "PXI")
     shots = 1_000_000
-    counts = protocol._sample_flat(flat, shots, 7, 17)
+    counts = sample_counts(flat, shots, 7, 17)
     live = flat > 0.0
     expected = shots * flat[live] / flat.sum()
     stat = float(np.sum((counts[live] - expected) ** 2 / expected))
