@@ -186,6 +186,10 @@ def cmd_failure_sweep(args) -> int:
         raise ConfigError(f"p-values must be comma-separated reals: {exc}") from exc
     if not p_values:
         raise ConfigError("p-values grid is empty")
+    # the negated range test also rejects nan
+    outside = [p for p in p_values if not 0.0 <= p <= 1.0]
+    if outside:
+        raise ConfigError(f"p-values must lie in [0, 1], got {outside}")
     code = SWEEP_CODES[args.code]()
     reports = failure_rate_experiment(p_values, config.shots, config.seed, code=code)
     # record and hash only what the sweep reads

@@ -238,8 +238,42 @@ def syndrome_basis(code: StabilizerCode) -> np.ndarray:
     return basis
 
 
-def _syndrome_probs(matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    probs = np.einsum("sj,jk,sk->s", basis.conj(), matrix, basis).real
+@lru_cache(maxsize=8)
+def _syndrome_frame(code: StabilizerCode) -> tuple:
+    """Gather plan of the quadratic forms <b_s| M |b_s> over the nonzero
+    block of every syndrome-basis row.
+
+    Each row R_s|codeword> is a Pauli image of the codeword, so every row
+    has the same number m of nonzero entries (4 for s0, 8 for s1).  Row s
+    keeps its m*m terms (j, k) in row-major order: the flat index
+    j*dim + k into the matrix, conj(b_j) and b_k.
+    """
+    basis = syndrome_basis(code)
+    n_rows, dim = basis.shape
+    cols = np.array([np.flatnonzero(row) for row in basis])
+    m = cols.shape[1]
+    picked = basis[np.arange(n_rows)[:, None], cols]
+    index = (cols[:, :, None] * dim + cols[:, None, :]).reshape(n_rows, m * m)
+    left = np.repeat(picked.conj(), m, axis=1)
+    right = np.tile(picked, (1, m))
+    for arr in (index, left, right):
+        arr.setflags(write=False)
+    return index, left, right
+
+
+def _syndrome_probs(matrix: np.ndarray, code: StabilizerCode) -> np.ndarray:
+    """Real parts of <b_s| M |b_s> for every syndrome row s.
+
+    Bit for bit the dense sum over all (j, k) in row-major order: that
+    sum adds the terms (conj(b_j) M_jk) b_k one after another from zero,
+    and the terms outside the row's block are exact zeros, so the
+    sequential cumsum over the block alone gives the same sums.  They can
+    differ only in the sign of an all-zero sum, and the clip at zero
+    maps -0.0 to the dense sum's +0.0.
+    """
+    index, left, right = _syndrome_frame(code)
+    terms = (left * matrix.reshape(-1)[index]) * right
+    probs = np.cumsum(terms, axis=1)[:, -1].real
     low = probs.min()
     if low < -NEGATIVE_PROB_TOL:
         raise ValueError(f"syndrome probability {low} below -1e-9")
@@ -255,19 +289,18 @@ def setting_distribution(
     For projective settings the rows are the unnormalized joint
     distributions of sign and syndrome; everything sums to one.
     """
-    basis = syndrome_basis(code)
     state = rho_after_channel.data
     if op.kind is PreprocessingKind.IDENTITY:
-        return (0,), _syndrome_probs(state, basis)[None, :]
+        return (0,), _syndrome_probs(state, code)[None, :]
     if op.kind is PreprocessingKind.COHERENCE_UNITARY:
         u = preprocessing_unitary(code, op.f_index)
-        return (0,), _syndrome_probs(u @ state @ u.conj().T, basis)[None, :]
+        return (0,), _syndrome_probs(u @ state @ u.conj().T, code)[None, :]
     f = _located_matrices_embedded(code)[op.f_index]
     eye = np.eye(f.shape[0], dtype=np.complex128)
     rows = []
     for sign in (1, -1):
         proj = (eye + sign * f) / 2.0
-        rows.append(_syndrome_probs(proj @ state @ proj, basis))
+        rows.append(_syndrome_probs(proj @ state @ proj, code))
     return (1, -1), np.stack(rows)
 
 
@@ -331,12 +364,14 @@ def _product_tables():
     return j_table, phi_table
 
 
-def _located_syndrome_ints(code: StabilizerCode) -> list:
+@lru_cache(maxsize=8)
+def _located_syndrome_ints(code: StabilizerCode) -> tuple:
+    """Syndrome integer of each of the 16 located basis errors."""
     decode = located_syndrome_index(code)
     out = [0] * 16
     for syn, idx in decode.items():
         out[idx] = syn.to_int()
-    return out
+    return tuple(out)
 
 
 def estimate_diagonal(hist: SyndromeHistogram, code: StabilizerCode) -> np.ndarray:

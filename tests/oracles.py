@@ -6,6 +6,9 @@
 * small dense-state helpers (basis states, unitaries, measurement,
   expectation values, partial trace, state fidelity);
 * the dense Kraus matrices of a channel and the dense sum of K rho K^dag;
+* the dense einsum of every syndrome-row quadratic form, which the
+  row-block gather of :func:`dcqd.protocol.setting_distribution` must
+  reproduce bit for bit;
 * the operator-sum evaluation of a process matrix;
 * the per-weight classification of ancilla Pauli errors by XOR of
   single-letter syndrome words, which checks the enumeration oracle the
@@ -40,6 +43,7 @@ from dcqd.protocol import (
     PreprocessingOp,
     located_embedded,
     preprocessing_unitary,
+    syndrome_basis,
 )
 from dcqd.rng import scoped_generator
 from dcqd.states import ContractViolationError, DensityMatrix
@@ -205,6 +209,36 @@ def apply_channel(rho: DensityMatrix, kraus) -> DensityMatrix:
     for k in ops:
         out += k @ rho.data @ k.conj().T
     return DensityMatrix(rho.n, out)
+
+
+# ---------------------------------------------------------------- setting distributions
+
+
+def dense_syndrome_probs(matrix: np.ndarray, code: StabilizerCode) -> np.ndarray:
+    """<b_s| M |b_s> for every syndrome row by one dense einsum over all
+    (j, k), clipped at zero."""
+    basis = syndrome_basis(code)
+    probs = np.einsum("sj,jk,sk->s", basis.conj(), matrix, basis).real
+    return np.clip(probs, 0.0, None)
+
+
+def dense_setting_distribution(rho: DensityMatrix, op: PreprocessingOp, code: StabilizerCode):
+    """(outcomes, probs) of one setting, as
+    :func:`dcqd.protocol.setting_distribution` returns them, from the
+    dense einsum."""
+    state = rho.data
+    if op.kind is PreprocessingKind.IDENTITY:
+        return (0,), dense_syndrome_probs(state, code)[None, :]
+    if op.kind is PreprocessingKind.COHERENCE_UNITARY:
+        u = preprocessing_unitary(code, op.f_index)
+        return (0,), dense_syndrome_probs(u @ state @ u.conj().T, code)[None, :]
+    f = to_matrix(located_embedded(code)[op.f_index])
+    eye = np.eye(f.shape[0], dtype=np.complex128)
+    rows = []
+    for sign in (1, -1):
+        proj = (eye + sign * f) / 2.0
+        rows.append(dense_syndrome_probs(proj @ state @ proj, code))
+    return (1, -1), np.stack(rows)
 
 
 # ---------------------------------------------------------------- process matrices

@@ -203,6 +203,15 @@ def test_failure_sweep_rejects_bad_grid(capsys):
     assert "p-values" in err
 
 
+@pytest.mark.parametrize("bad", ["1.5", "-0.1", "nan"])
+def test_failure_sweep_rejects_grid_outside_unit_interval(bad, capsys, tmp_path):
+    argv = ["failure-sweep", "--p-values", f"0.1,{bad}", "--shots", "2000", "--out", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "configuration error" in err and "p-values" in err
+    assert not (tmp_path / "failure_sweep.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag", [["--gamma", "0.5"], ["--p", "0.3"], ["--backend", "exact"], ["--workers", "2"]]
 )

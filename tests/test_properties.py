@@ -15,6 +15,7 @@ from dcqd.channels import apply, channel_from_spec
 from dcqd.codes import build_s0, build_s1
 from dcqd.config import SCENARIOS, ExperimentConfig
 from dcqd.protocol import (
+    _syndrome_probs,
     characterize,
     partial_characterize,
     prepare_probe,
@@ -23,7 +24,7 @@ from dcqd.protocol import (
     standard_settings,
 )
 from dcqd.rng import sample_counts
-from oracles import apply_channel, dense_kraus
+from oracles import apply_channel, dense_kraus, dense_setting_distribution, dense_syndrome_probs
 
 # few, fixed examples: each one runs real characterizations
 FEW = settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -83,17 +84,48 @@ def test_channel_apply_matches_dense_kraus_oracle(scenario, gamma, p):
     assert np.array_equal(got, want)
 
 
+def noisy_probe(code, gamma, p):
+    """The probe after damping gamma on the principal qubit and
+    depolarizing p on every ancilla."""
+    entries = [{"type": "amplitude_damping", "site": 1, "parameter": gamma}]
+    entries += [{"type": "depolarizing", "site": s, "parameter": p} for s in sorted(code.ancilla_sites)]
+    return apply(channel_from_spec(entries, code.n), prepare_probe(code))
+
+
 @FEW
 @given(code=st.sampled_from((build_s0, build_s1)), gamma=strengths, p=strengths)
 def test_setting_distributions_are_probability_vectors(code, gamma, p):
     code = code()
-    entries = [{"type": "amplitude_damping", "site": 1, "parameter": gamma}]
-    entries += [{"type": "depolarizing", "site": s, "parameter": p} for s in sorted(code.ancilla_sites)]
-    rho = apply(channel_from_spec(entries, code.n), prepare_probe(code))
+    rho = noisy_probe(code, gamma, p)
     for op in standard_settings():
         _, probs = setting_distribution(rho, op, code)
         assert probs.min() >= 0.0
         assert abs(probs.sum() - 1.0) < 1e-10
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(code=st.sampled_from((build_s0, build_s1)), gamma=strengths, p=strengths)
+def test_setting_distribution_matches_dense_einsum_bit_for_bit(code, gamma, p):
+    code = code()
+    rho = noisy_probe(code, gamma, p)
+    for op in standard_settings():
+        outcomes, probs = setting_distribution(rho, op, code)
+        want_outcomes, want = dense_setting_distribution(rho, op, code)
+        assert outcomes == want_outcomes
+        assert probs.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(build=st.sampled_from((build_s0, build_s1)), seed=st.integers(0, 2**32 - 1))
+def test_syndrome_probs_match_dense_einsum_on_random_states(build, seed):
+    # dense states that share no structure with the codeword
+    code = build()
+    dim = 2 ** code.n
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    assert _syndrome_probs(rho, code).tobytes() == dense_syndrome_probs(rho, code).tobytes()
 
 
 @FEW

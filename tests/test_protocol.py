@@ -38,7 +38,7 @@ from dcqd.protocol import (
     syndrome_basis,
 )
 from dcqd.rng import sample_counts
-from oracles import run_shot, shot_stream
+from oracles import dense_syndrome_probs, run_shot, shot_stream
 
 
 def make_config(**overrides):
@@ -93,6 +93,23 @@ def test_syndrome_basis_orthonormal_complete():
         dim = 2 ** code.n
         assert w.shape == (dim, dim)
         assert np.allclose(w.conj() @ w.T, np.eye(dim), atol=1e-10)
+
+
+@pytest.mark.parametrize("build, width", [(build_s0, 4), (build_s1, 8)], ids=["s0", "s1"])
+def test_syndrome_frame_gathers_each_rows_nonzero_block(build, width):
+    code = build()
+    basis = syndrome_basis(code)
+    index, left, right = protocol._syndrome_frame(code)
+    assert index.shape == left.shape == right.shape == (len(basis), width * width)
+    for s, row in enumerate(basis):
+        terms = np.outer(row.conj(), row).reshape(-1)
+        # the gathered terms are exactly the row's nonzero ones, row-major
+        assert np.count_nonzero(row) == width
+        assert np.array_equal(np.flatnonzero(terms), index[s])
+        assert np.array_equal(left[s] * right[s], terms[index[s]])
+    # all-zero sums come out +0.0, as the dense einsum's do
+    zero = -np.zeros((len(basis), len(basis)), dtype=np.complex128)
+    assert protocol._syndrome_probs(zero, code).tobytes() == dense_syndrome_probs(zero, code).tobytes()
 
 
 def test_setting_distributions_sum_to_one():
