@@ -258,9 +258,9 @@ def failure_oracle(code: StabilizerCode | None = None) -> FailureOracle:
         if weight == 0:
             continue
         syn = syndrome_of_error(code, _ancilla_operator(code, sites, letters))
-        if any(syn.bits[: code.detection_prefix]):
+        if code.detector_bits(syn):
             tallies[weight][0] += 1
-        elif syn.is_trivial:
+        elif syn == 0:
             tallies[weight][1] += 1
         else:
             tallies[weight][2] += 1

@@ -51,6 +51,7 @@ from .config import (
 from .pauli import single_site
 from .process_matrix import BASIS_LABELS
 from .protocol import (
+    IncompleteDataError,
     PreprocessingKind,
     PreprocessingOp,
     characterize,
@@ -73,9 +74,10 @@ def _real(value: float) -> str:
 
 
 def _table_csv_text() -> str:
+    code = build_s1()
     lines = ["index,operator,syndrome"]
-    for idx, _, syn in located_error_table(build_s1()):
-        lines.append(f"{idx},{BASIS_LABELS[idx]},{syn}")
+    for idx, _, syn in located_error_table(code):
+        lines.append(f"{idx},{BASIS_LABELS[idx]},{syn:0{code.r}b}")
     return "\n".join(lines) + "\n"
 
 
@@ -109,8 +111,9 @@ def _build_config(args, keys=tuple(DEFAULTS)) -> ExperimentConfig:
 
 def cmd_table(args) -> int:
     computed = _table_csv_text()
-    for idx, _, syn in located_error_table(build_s1()):
-        print(f"{BASIS_LABELS[idx]}, {syn}")
+    code = build_s1()
+    for idx, _, syn in located_error_table(code):
+        print(f"{BASIS_LABELS[idx]}, {syn:0{code.r}b}")
     if args.out is not None:
         out = _out_dir(args)
         (out / "located_error_table.csv").write_text(computed)
@@ -404,6 +407,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except IncompleteDataError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ Three codes are built here:
   logical qubits of an inner code, producing the six-qubit filter code
   whose first two syndrome bits witness ancilla faults.
 
-Sites are 1-based.  A syndrome lists one bit per generator, 0 for
-commuting, written like "010100" with the first generator leftmost.
+Sites are 1-based.  A syndrome is a plain int with one bit per
+generator, 1 where the error anticommutes with it and the first
+generator most significant, so it prints as "010100" with
+``f"{syn:06b}"`` and indexes histogram columns directly.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ import numpy as np
 
 from . import pauli
 from .pauli import PauliOperator, identity, multiply, commutes, tensor, parse_pauli
+from .process_matrix import BASIS_LABELS
 from .states import DensityMatrix
 
 __all__ = [
-    "Syndrome",
     "StabilizerCode",
     "CodeConstructionError",
     "UnsupportedCodeError",
@@ -40,7 +42,6 @@ __all__ = [
     "codeword",
     "syndrome_of_error",
     "located_error_table",
-    "located_syndrome_index",
     "destabilizers",
 ]
 
@@ -51,40 +52,6 @@ class CodeConstructionError(ValueError):
 
 class UnsupportedCodeError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Syndrome:
-    bits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("syndrome bits must be 0 or 1")
-
-    @classmethod
-    def from_string(cls, text: str) -> "Syndrome":
-        return cls(tuple(int(c) for c in text))
-
-    @classmethod
-    def from_int(cls, value: int, length: int) -> "Syndrome":
-        return cls(tuple((value >> (length - 1 - k)) & 1 for k in range(length)))
-
-    def to_int(self) -> int:
-        acc = 0
-        for b in self.bits:
-            acc = (acc << 1) | b
-        return acc
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.bits)
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def __len__(self) -> int:
-        return len(self.bits)
 
 
 @dataclass(frozen=True)
@@ -126,7 +93,7 @@ class StabilizerCode:
                         f"generators {gens[a]} and {gens[b]} anticommute"
                     )
         rows = np.array([g.symplectic() for g in gens], dtype=np.uint8)
-        if len(gens) and _gf2_rank(rows) != len(gens):
+        if gens and len(_gf2_eliminate(rows, rows.shape[1])) != len(gens):
             raise CodeConstructionError("generators are not independent over GF(2)")
         if self.principal_sites | self.ancilla_sites != frozenset(range(1, self.n + 1)):
             raise CodeConstructionError("principal and ancilla sites must cover 1..n")
@@ -143,53 +110,37 @@ class StabilizerCode:
     def k(self) -> int:
         return self.n - self.r
 
+    def detector_bits(self, syndrome):
+        """The detector-prefix bits of a syndrome int (or integer array);
+        zero means the round is accepted."""
+        return syndrome >> (self.r - self.detection_prefix)
 
-def _gf2_rank(rows: np.ndarray) -> int:
-    m = rows.copy().astype(np.uint8)
-    rank = 0
-    cols = m.shape[1] if m.ndim == 2 else 0
+
+def _gf2_eliminate(m: np.ndarray, cols: int) -> list:
+    """Reduce the first ``cols`` columns of ``m`` to reduced row echelon
+    form over GF(2), in place, and return the pivot columns."""
+    pivots = []
     for col in range(cols):
-        pivot = None
-        for r in range(rank, m.shape[0]):
-            if m[r, col]:
-                pivot = r
-                break
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, m.shape[0]) if m[r, col]), None)
         if pivot is None:
             continue
         m[[rank, pivot]] = m[[pivot, rank]]
         for r in range(m.shape[0]):
             if r != rank and m[r, col]:
                 m[r] ^= m[rank]
-        rank += 1
-    return rank
+        pivots.append(col)
+    return pivots
 
 
 def _gf2_solve(mat: np.ndarray, rhs: np.ndarray):
     """One solution of mat @ v = rhs over GF(2), or None."""
-    m = np.concatenate([mat.astype(np.uint8), rhs.reshape(-1, 1).astype(np.uint8)], axis=1)
-    rows, cols = mat.shape
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, rows):
-        if m[r, -1]:
-            return None
-    v = np.zeros(cols, dtype=np.uint8)
-    for r, col in enumerate(pivots):
-        v[col] = m[r, -1]
+    m = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1).astype(np.uint8)
+    pivots = _gf2_eliminate(m, mat.shape[1])
+    if m[len(pivots) :, -1].any():
+        return None
+    v = np.zeros(mat.shape[1], dtype=np.uint8)
+    v[pivots] = m[: len(pivots), -1]
     return v
 
 
@@ -323,20 +274,21 @@ def codeword(code: StabilizerCode) -> DensityMatrix:
     return DensityMatrix(code.n, np.outer(v, v.conj()))
 
 
-def syndrome_of_error(code: StabilizerCode, error: PauliOperator) -> Syndrome:
-    """One bit per generator: 0 if the error commutes with it."""
+def syndrome_of_error(code: StabilizerCode, error: PauliOperator) -> int:
+    """One bit per generator, 1 if the error anticommutes with it, the
+    first generator most significant."""
     if error.n != code.n:
         raise ValueError(f"error acts on {error.n} sites, code has {code.n}")
-    return Syndrome(tuple(0 if commutes(error, g) else 1 for g in code.generators))
+    syn = 0
+    for g in code.generators:
+        syn = (syn << 1) | int(not commutes(error, g))
+    return syn
 
 
-# Order of the located-error reference table: see process_matrix.BASIS_LABELS.
-from .process_matrix import BASIS_LABELS as _LOCATED_LABELS  # noqa: E402
-
-
-def located_error_table(code: StabilizerCode):
+@lru_cache(maxsize=8)
+def located_error_table(code: StabilizerCode) -> tuple:
     """The sixteen principal-qubit errors and their syndromes, in the
-    canonical basis order.
+    canonical basis order of ``process_matrix.BASIS_LABELS``.
 
     Returns a tuple of (index, operator, syndrome).  Syndromes are
     pairwise distinct for both supported codes, which is what makes the
@@ -347,18 +299,12 @@ def located_error_table(code: StabilizerCode):
     if code.k != 0:
         raise UnsupportedCodeError("located error table needs a k=0 code")
     rows = []
-    for idx, label in enumerate(_LOCATED_LABELS):
+    for idx, label in enumerate(BASIS_LABELS):
         op = tensor(parse_pauli(label), identity(code.n - 2))
         rows.append((idx, op, syndrome_of_error(code, op)))
-    syndromes = [str(s) for _, _, s in rows]
-    if len(set(syndromes)) != len(syndromes):
+    if len({syn for _, _, syn in rows}) != len(rows):
         raise CodeConstructionError("located syndromes are not pairwise distinct")
     return tuple(rows)
-
-
-def located_syndrome_index(code: StabilizerCode) -> dict:
-    """Decoding map: syndrome -> located index."""
-    return {syn: idx for idx, _, syn in located_error_table(code)}
 
 
 def destabilizers(code: StabilizerCode):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 
 __all__ = [
@@ -45,6 +46,13 @@ class ExperimentConfig:
     backend: str = DEFAULTS["backend"]
 
     def __post_init__(self):
+        for name, integral in (("gamma", False), ("p", False), ("shots", True), ("seed", True)):
+            value = getattr(self, name)
+            # bool is an int subclass, and int(2.7) would silently truncate
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+                raise ConfigError(f"{name} must be a whole number, got {value!r}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -77,11 +85,15 @@ def settings_hash(values: dict) -> str:
 
 
 def load_config_file(path) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(doc) - set(DEFAULTS)

@@ -44,7 +44,6 @@ from .codes import (
     destabilizers,
     codeword_state,
     located_error_table,
-    located_syndrome_index,
 )
 from .config import ConfigError, ExperimentConfig
 from .process_matrix import BASIS_LABELS, BASIS_INDEX, ProcessMatrix, basis_paulis
@@ -59,7 +58,6 @@ __all__ = [
     "IncompleteDataError",
     "standard_settings",
     "prepare_probe",
-    "located_embedded",
     "preprocessing_unitary",
     "syndrome_basis",
     "setting_distribution",
@@ -192,14 +190,8 @@ def prepare_probe(code: StabilizerCode) -> DensityMatrix:
 
 
 @lru_cache(maxsize=8)
-def located_embedded(code: StabilizerCode) -> tuple:
-    """The 16 basis operators acting on the principal pair of ``code``."""
-    return tuple(op for _, op, _ in located_error_table(code))
-
-
-@lru_cache(maxsize=8)
 def _located_matrices_embedded(code: StabilizerCode) -> np.ndarray:
-    mats = np.stack([pauli.to_matrix(op) for op in located_embedded(code)])
+    mats = np.stack([pauli.to_matrix(op) for _, op, _ in located_error_table(code)])
     mats.setflags(write=False)
     return mats
 
@@ -310,10 +302,7 @@ def _accepted_mass(counts: np.ndarray, code: StabilizerCode) -> float:
     Codes without detector generators (detection_prefix == 0) accept
     everything; they have no way to flag ancilla faults.
     """
-    n_syn = counts.shape[1]
-    shift = code.r - code.detection_prefix
-    syn = np.arange(n_syn)
-    mask = (syn >> shift) == 0
+    mask = code.detector_bits(np.arange(counts.shape[1])) == 0
     return float(counts[:, mask].sum())
 
 
@@ -364,16 +353,6 @@ def _product_tables():
     return j_table, phi_table
 
 
-@lru_cache(maxsize=8)
-def _located_syndrome_ints(code: StabilizerCode) -> tuple:
-    """Syndrome integer of each of the 16 located basis errors."""
-    decode = located_syndrome_index(code)
-    out = [0] * 16
-    for syn, idx in decode.items():
-        out[idx] = syn.to_int()
-    return tuple(out)
-
-
 def estimate_diagonal(hist: SyndromeHistogram, code: StabilizerCode) -> np.ndarray:
     """chi_ii as the accepted-shot relative frequency of located syndrome i.
 
@@ -382,8 +361,8 @@ def estimate_diagonal(hist: SyndromeHistogram, code: StabilizerCode) -> np.ndarr
     """
     if hist.accepted <= 0:
         raise IncompleteDataError("no accepted events to estimate from")
-    syn_ints = _located_syndrome_ints(code)
-    return np.array([hist.counts[0, s] for s in syn_ints]) / hist.accepted
+    syn = [s for _, _, s in located_error_table(code)]
+    return hist.counts[0, syn] / hist.accepted
 
 
 def _raw_estimate(
@@ -399,7 +378,7 @@ def _raw_estimate(
     entries that no given pair reaches stay zero.
     """
     diag = estimate_diagonal(h_identity, code)
-    syn_ints = _located_syndrome_ints(code)
+    syn = [s for _, _, s in located_error_table(code)]
     j_table, phi_table = _product_tables()
     raw = np.zeros((16, 16), dtype=np.complex128)
     np.fill_diagonal(raw, diag)
@@ -411,9 +390,9 @@ def _raw_estimate(
         for i in range(16):
             big_j = int(j_table[i, j])
             phi = phi_table[i, j]
-            p_rot = hu.counts[0, syn_ints[i]] / hu.accepted
+            p_rot = hu.counts[0, syn[i]] / hu.accepted
             imag = (diag[i] + diag[big_j]) / 2.0 - p_rot
-            real = (hp.counts[0, syn_ints[i]] - hp.counts[1, syn_ints[i]]) / hp.accepted
+            real = (hp.counts[0, syn[i]] - hp.counts[1, syn[i]]) / hp.accepted
             raw[big_j, i] = np.conj(phi) * (real + 1j * imag)
     return raw
 

@@ -30,7 +30,6 @@ from dcqd import channels as channels_mod
 from dcqd import pauli
 from dcqd.analysis import FIDELITY_EIG_TOL, _clamped_psd, _fidelity_core
 from dcqd.codes import (
-    Syndrome,
     StabilizerCode,
     codeword_state,
     located_error_table,
@@ -41,7 +40,6 @@ from dcqd.process_matrix import ProcessMatrix, basis_paulis
 from dcqd.protocol import (
     PreprocessingKind,
     PreprocessingOp,
-    located_embedded,
     preprocessing_unitary,
     syndrome_basis,
 )
@@ -232,7 +230,7 @@ def dense_setting_distribution(rho: DensityMatrix, op: PreprocessingOp, code: St
     if op.kind is PreprocessingKind.COHERENCE_UNITARY:
         u = preprocessing_unitary(code, op.f_index)
         return (0,), dense_syndrome_probs(u @ state @ u.conj().T, code)[None, :]
-    f = to_matrix(located_embedded(code)[op.f_index])
+    f = to_matrix(located_error_table(code)[op.f_index][1])
     eye = np.eye(f.shape[0], dtype=np.complex128)
     rows = []
     for sign in (1, -1):
@@ -283,7 +281,7 @@ def shot_stream(seed: int, setting_key: int, shot_index: int) -> UniformStream:
 class ShotRecord:
     setting: PreprocessingOp
     projective_outcome: int | None
-    syndrome: Syndrome
+    syndrome: int
 
 
 def run_shot(
@@ -306,14 +304,14 @@ def run_shot(
         rho = apply_unitary(rho, preprocessing_unitary(code, op.f_index))
     elif op.kind is PreprocessingKind.COHERENCE_PROJECTIVE:
         record, rho = measure_generator(
-            rho, located_embedded(code)[op.f_index], stream.next_uniform(), generator_index=-1
+            rho, located_error_table(code)[op.f_index][1], stream.next_uniform(), generator_index=-1
         )
         outcome = record.outcome
-    bits = []
+    syndrome = 0
     for gi, g in enumerate(code.generators):
         record, rho = measure_generator(rho, g, stream.next_uniform(), generator_index=gi)
-        bits.append(0 if record.outcome == 1 else 1)
-    return ShotRecord(setting=op, projective_outcome=outcome, syndrome=Syndrome(tuple(bits)))
+        syndrome = (syndrome << 1) | int(record.outcome != 1)
+    return ShotRecord(setting=op, projective_outcome=outcome, syndrome=syndrome)
 
 
 # ---------------------------------------------------------------- ancilla failures
@@ -323,7 +321,7 @@ def ancilla_syndrome_words(code: StabilizerCode) -> np.ndarray:
     """Syndrome integers of single-letter ancilla errors, shape (a, 3)."""
     return np.array(
         [
-            [syndrome_of_error(code, single_site(code.n, site, letter)).to_int() for letter in "XYZ"]
+            [syndrome_of_error(code, single_site(code.n, site, letter)) for letter in "XYZ"]
             for site in sorted(code.ancilla_sites)
         ],
         dtype=np.int64,

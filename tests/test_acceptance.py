@@ -59,7 +59,7 @@ def test_criterion_1_located_error_table_exact():
     elapsed = time.perf_counter() - start
     assert len(rows) == 16
     for idx, _, syn in rows:
-        assert str(syn) == EXPECTED_TABLE[BASIS_LABELS[idx]]
+        assert format(syn, "06b") == EXPECTED_TABLE[BASIS_LABELS[idx]]
     assert elapsed < 1.0
 
 

@@ -124,6 +124,38 @@ def test_invalid_gamma_exits_two(capsys, tmp_path):
     assert "gamma" in err
 
 
+def test_too_few_accepted_shots_exits_one_without_outputs(capsys, tmp_path):
+    # one shot per setting leaves some setting with no accepted event
+    argv = ["characterize", "--shots", "1", "--out", str(tmp_path / "r")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: no accepted events")
+    assert not (tmp_path / "r" / "chi_real.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"gamma": "0.4"},
+        {"gamma": None},
+        {"shots": "abc"},
+        {"shots": 2.7},
+        {"seed": True},
+        None,
+    ],
+    ids=["gamma-str", "gamma-null", "shots-str", "shots-fraction", "seed-bool", "missing-file"],
+)
+def test_bad_config_file_exits_two(payload, capsys, tmp_path):
+    cfg = tmp_path / "settings.json"
+    if payload is not None:
+        cfg.write_text(json.dumps(payload))
+    argv = ["characterize", "--config", str(cfg), "--out", str(tmp_path / "r")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "configuration error" in err
+
+
 def test_failure_sweep_zero_point(capsys, tmp_path):
     argv = [
         "failure-sweep",

@@ -7,7 +7,6 @@ from dcqd import pauli
 from dcqd.codes import (
     CodeConstructionError,
     StabilizerCode,
-    Syndrome,
     UnsupportedCodeError,
     build_s0,
     build_s1,
@@ -16,7 +15,6 @@ from dcqd.codes import (
     codeword_state,
     destabilizers,
     located_error_table,
-    located_syndrome_index,
     syndrome_of_error,
 )
 from dcqd.pauli import commutes, parse_pauli, single_site, to_matrix
@@ -86,6 +84,18 @@ def test_generator_validation():
         )
 
 
+def test_dependent_generators_are_rejected():
+    # pairwise commuting, but YYYY is the product XXXX ZZZZ up to phase
+    with pytest.raises(CodeConstructionError, match="not independent"):
+        StabilizerCode(
+            label="dep",
+            n=4,
+            generators=tuple(parse_pauli(s) for s in ("XXXX", "ZZZZ", "YYYY")),
+            principal_sites=frozenset(),
+            ancilla_sites=frozenset({1, 2, 3, 4}),
+        )
+
+
 def test_s0_codeword_support():
     v = codeword_state(build_s0())
     nz = {format(i, "04b"): v[i] for i in range(16) if abs(v[i]) > 1e-12}
@@ -127,28 +137,27 @@ def test_syndrome_examples():
         "IIXIII": "010100",
     }
     for text, syn in cases.items():
-        assert str(syndrome_of_error(s1, parse_pauli(text))) == syn
+        assert format(syndrome_of_error(s1, parse_pauli(text)), "06b") == syn
     # ancilla X on site 3 trips the first detection-prefix bit pair
     anc = syndrome_of_error(s1, single_site(6, 3, "X"))
-    assert anc.bits[:2] != (0, 0)
+    assert s1.detector_bits(anc) != 0
 
 
 def test_located_table_rows_distinct_and_prefix_clean():
     s1 = build_s1()
     rows = located_error_table(s1)
     assert len(rows) == 16
-    syns = [str(s) for _, _, s in rows]
+    assert [idx for idx, _, _ in rows] == list(range(16))
+    syns = [s for _, _, s in rows]
     assert len(set(syns)) == 16
-    for _, _, syn in rows:
-        assert syn.bits[:2] == (0, 0)
-    index = located_syndrome_index(s1)
-    assert len(index) == 16
-    assert all(index[syn] == idx for idx, _, syn in rows)
+    assert all(0 <= syn < 2 ** s1.r for syn in syns)
+    assert all(s1.detector_bits(syn) == 0 for syn in syns)
+    assert located_error_table(s1) is rows
 
 
 def test_located_table_s0_uses_every_syndrome():
     rows = located_error_table(build_s0())
-    ints = {syn.to_int() for _, _, syn in rows}
+    ints = {syn for _, _, syn in rows}
     assert ints == set(range(16))
 
 
@@ -157,9 +166,7 @@ def test_destabilizers_flip_single_bits():
         ds = destabilizers(code)
         assert len(ds) == code.r
         for j, d in enumerate(ds):
-            syn = syndrome_of_error(code, d)
-            expected = tuple(1 if i == j else 0 for i in range(code.r))
-            assert syn.bits == expected
+            assert syndrome_of_error(code, d) == 1 << (code.r - 1 - j)
 
 
 def test_qec_condition_located_errors_orthogonal():
@@ -175,18 +182,6 @@ def test_hamming_bound_values():
     s1 = located_hamming_bound(n_principal=2, k=0, n=6)
     assert s1.satisfied and not s1.saturated
     assert s1.lhs == 16 and s1.rhs == 64 and s1.margin == 48
-
-
-def test_syndrome_container():
-    syn = Syndrome.from_string("010100")
-    assert syn.to_int() == 0b010100
-    assert str(syn) == "010100"
-    assert len(syn) == 6
-    assert not syn.is_trivial
-    assert Syndrome.from_int(syn.to_int(), 6) == syn
-    assert Syndrome.from_string("000000").is_trivial
-    with pytest.raises(ValueError):
-        Syndrome((0, 2, 1))
 
 
 def test_generators_commute_pairwise():

@@ -12,8 +12,9 @@ from dcqd.analysis import (
     failure_oracle,
 )
 from dcqd.channels import apply, channel_from_spec
-from dcqd.codes import build_s0, build_s1
+from dcqd.codes import build_s0, build_s1, syndrome_of_error
 from dcqd.config import SCENARIOS, ExperimentConfig
+from dcqd.pauli import commutes, multiply, parse_pauli
 from dcqd.protocol import (
     _syndrome_probs,
     characterize,
@@ -33,6 +34,8 @@ elements = st.lists(
     st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=4
 )
 strengths = st.floats(0.0, 1.0, allow_nan=False)
+# full-register Pauli letters, cut to the code's length
+paulis = st.text("IXYZ", min_size=6, max_size=6)
 
 
 @lru_cache(maxsize=None)
@@ -126,6 +129,19 @@ def test_syndrome_probs_match_dense_einsum_on_random_states(build, seed):
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     assert _syndrome_probs(rho, code).tobytes() == dense_syndrome_probs(rho, code).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(build=st.sampled_from((build_s0, build_s1)), a=paulis, b=paulis)
+def test_syndrome_is_linear_and_detector_bits_read_the_prefix(build, a, b):
+    code = build()
+    ea, eb = parse_pauli(a[: code.n]), parse_pauli(b[: code.n])
+    syn = syndrome_of_error(code, ea)
+    assert syndrome_of_error(code, multiply(ea, eb)) == syn ^ syndrome_of_error(code, eb)
+    assert 0 <= syn < 2**code.r
+    prefix = code.generators[: code.detection_prefix]
+    assert (code.detector_bits(syn) == 0) == all(commutes(ea, g) for g in prefix)
+    assert code.detector_bits(np.array([syn]))[0] == code.detector_bits(syn)
 
 
 @FEW

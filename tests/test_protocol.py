@@ -16,7 +16,7 @@ from dcqd.channels import (
     pauli_unitary_channel,
     theoretical_chi_ad,
 )
-from dcqd.codes import Syndrome, build_s0, build_s1
+from dcqd.codes import build_s0, build_s1
 from dcqd.config import ExperimentConfig
 from dcqd.pauli import single_site
 from dcqd.process_matrix import BASIS_INDEX, BASIS_LABELS
@@ -27,7 +27,6 @@ from dcqd.protocol import (
     characterize,
     estimate_diagonal,
     estimate_offdiagonal,
-    located_embedded,
     partial_characterize,
     prepare_probe,
     preprocessing_unitary,
@@ -156,7 +155,7 @@ def test_ancilla_error_never_accepted():
 
 def accepts(code, syndrome: str) -> bool:
     counts = np.zeros((1, 2 ** code.r))
-    counts[0, Syndrome.from_string(syndrome).to_int()] = 1.0
+    counts[0, int(syndrome, 2)] = 1.0
     return protocol._accepted_mass(counts, code) == 1.0
 
 
@@ -169,7 +168,7 @@ def test_filter_accept_rules():
     s0 = build_s0()
     # no detection prefix: every syndrome is accepted
     for v in (0, 3, 9, 15):
-        assert accepts(s0, str(Syndrome.from_int(v, 4)))
+        assert accepts(s0, format(v, "04b"))
 
 
 def test_run_shot_matches_distribution():
@@ -184,7 +183,7 @@ def test_run_shot_matches_distribution():
     for k in range(shots):
         rec = run_shot(probe, chan, op, code, shot_stream(777, op.setting_key, k))
         row = outcomes.index(rec.projective_outcome)
-        counts[row, rec.syndrome.to_int()] += 1
+        counts[row, rec.syndrome] += 1
     freq = counts / shots
     sigma = np.sqrt(np.clip(probs * (1 - probs), 1e-12, None) / shots)
     assert np.all(np.abs(freq - probs) < 4 * sigma + 5e-3)
