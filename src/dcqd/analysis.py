@@ -35,7 +35,6 @@ from .states import InvalidStateError
 
 __all__ = [
     "FidelityResult",
-    "WeightClassCounts",
     "FailureOracle",
     "FailureRateReport",
     "ChiDistance",
@@ -160,7 +159,7 @@ def channel_fidelity_vs_theory(chi_hat: ProcessMatrix, gamma: float) -> Fidelity
     )
 
 
-def binomial_weight_probability(p: float, j: int, sites: int = 4) -> float:
+def binomial_weight_probability(p: float, j: int, sites: int) -> float:
     """Probability that exactly j of the sites draw a non-identity letter."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -170,25 +169,11 @@ def binomial_weight_probability(p: float, j: int, sites: int = 4) -> float:
 
 
 @dataclass(frozen=True)
-class WeightClassCounts:
-    """Classification tallies of all ancilla Pauli errors of one weight."""
-
-    weight: int
-    total: int
-    detected: int
-    stabilizer: int
-    impostor: int
-
-    def __post_init__(self):
-        if self.detected + self.stabilizer + self.impostor != self.total:
-            raise ValueError("classes must partition the weight class")
-
-
-@dataclass(frozen=True)
 class FailureOracle:
     """Exhaustive classification of every ancilla-supported Pauli error.
 
-    Each non-identity error is exactly one of:
+    ``tallies[w - 1]`` is the (detected, stabilizer, impostor) count of
+    the weight-w errors; each non-identity error is exactly one of:
 
     * detected: some detector-prefix syndrome bit fires, so filtering
       removes the shot;
@@ -197,18 +182,27 @@ class FailureOracle:
     * impostor: a clean prefix with a nonzero syndrome, which counterfeits
       a located error and corrupts the estimate.
 
-    ``failure_coefficients[w]`` is the exact fraction of weight-w errors
-    that slip past the filter (impostor plus stabilizer, the accounting
-    that treats any undetected non-identity error as a failure);
-    ``corrupting_coefficients[w]`` drops the stabilizer class, counting
-    only errors that change the accepted record.
+    Every other fact is read off that table.
     """
 
     code_label: str
-    ancilla_size: int
-    weight_counts: tuple
-    failure_coefficients: tuple
-    corrupting_coefficients: tuple
+    tallies: tuple
+
+    @property
+    def ancilla_size(self) -> int:
+        return len(self.tallies)
+
+    @property
+    def failure_coefficients(self) -> tuple:
+        """Exact fraction of weight-w errors that slip past the filter
+        (impostor plus stabilizer: any undetected non-identity error)."""
+        return tuple(Fraction(s + i, d + s + i) for d, s, i in self.tallies)
+
+    @property
+    def corrupting_coefficients(self) -> tuple:
+        """Exact fraction of weight-w errors that change the accepted
+        record (impostors only)."""
+        return tuple(Fraction(i, d + s + i) for d, s, i in self.tallies)
 
     def analytic_failure_rate(self, p: float) -> float:
         return sum(
@@ -225,12 +219,9 @@ class FailureOracle:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"depolarizing strength {p} outside [0, 1]")
         a = self.ancilla_size
-        tallies = np.array(
-            [(c.detected, c.stabilizer, c.impostor) for c in self.weight_counts],
-            dtype=np.float64,
-        )
         weights = np.arange(1, a + 1)
         pattern = (p / 3.0) ** weights * (1.0 - p) ** (a - weights)
+        tallies = np.array(self.tallies, dtype=np.float64)
         return np.concatenate(([(1.0 - p) ** a], pattern @ tallies))
 
 
@@ -251,40 +242,19 @@ def failure_oracle(code: StabilizerCode | None = None) -> FailureOracle:
     if code is None:
         code = build_s1()
     sites = tuple(sorted(code.ancilla_sites))
-    a = len(sites)
-    tallies = {w: [0, 0, 0] for w in range(1, a + 1)}
-    for letters in product("IXYZ", repeat=a):
+    tallies = [[0, 0, 0] for _ in sites]
+    for letters in product("IXYZ", repeat=len(sites)):
         weight = sum(1 for c in letters if c != "I")
         if weight == 0:
             continue
         syn = syndrome_of_error(code, _ancilla_operator(code, sites, letters))
         if code.detector_bits(syn):
-            tallies[weight][0] += 1
+            tallies[weight - 1][0] += 1
         elif syn == 0:
-            tallies[weight][1] += 1
+            tallies[weight - 1][1] += 1
         else:
-            tallies[weight][2] += 1
-    counts = tuple(
-        WeightClassCounts(
-            weight=w,
-            total=3**w * math.comb(a, w),
-            detected=tallies[w][0],
-            stabilizer=tallies[w][1],
-            impostor=tallies[w][2],
-        )
-        for w in range(1, a + 1)
-    )
-    fail = tuple(
-        Fraction(c.stabilizer + c.impostor, c.total) for c in counts
-    )
-    corrupt = tuple(Fraction(c.impostor, c.total) for c in counts)
-    return FailureOracle(
-        code_label=code.label,
-        ancilla_size=a,
-        weight_counts=counts,
-        failure_coefficients=fail,
-        corrupting_coefficients=corrupt,
-    )
+            tallies[weight - 1][2] += 1
+    return FailureOracle(code.label, tuple(tuple(row) for row in tallies))
 
 
 @dataclass(frozen=True)

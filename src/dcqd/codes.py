@@ -28,7 +28,6 @@ import numpy as np
 from . import pauli
 from .pauli import PauliOperator, identity, multiply, commutes, tensor, parse_pauli
 from .process_matrix import BASIS_LABELS
-from .states import DensityMatrix
 
 __all__ = [
     "StabilizerCode",
@@ -39,7 +38,6 @@ __all__ = [
     "build_s1",
     "concatenate_ancilla",
     "codeword_state",
-    "codeword",
     "syndrome_of_error",
     "located_error_table",
     "destabilizers",
@@ -267,11 +265,6 @@ def codeword_state(code: StabilizerCode) -> np.ndarray:
             v = v * (abs(amp) / amp)
             break
     return v
-
-
-def codeword(code: StabilizerCode) -> DensityMatrix:
-    v = codeword_state(code)
-    return DensityMatrix(code.n, np.outer(v, v.conj()))
 
 
 def syndrome_of_error(code: StabilizerCode, error: PauliOperator) -> int:

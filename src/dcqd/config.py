@@ -32,6 +32,12 @@ DEFAULTS = {
 }
 
 
+# the multinomial sampler takes shots as a C long, and the random streams
+# keep 64 bits of each scope part, so a larger seed would alias a smaller one
+_MAX_SHOTS = 2**63 - 1
+_MAX_SEED = 2**64 - 1
+
+
 class ConfigError(ValueError):
     pass
 
@@ -59,10 +65,10 @@ class ExperimentConfig:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p must lie in [0, 1], got {self.p}")
-        if int(self.shots) < 1:
-            raise ConfigError(f"shots must be positive, got {self.shots}")
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not 1 <= int(self.shots) <= _MAX_SHOTS:
+            raise ConfigError(f"shots must lie in [1, 2^63 - 1], got {self.shots}")
+        if not 0 <= int(self.seed) <= _MAX_SEED:
+            raise ConfigError(f"seed must lie in [0, 2^64 - 1], got {self.seed}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         object.__setattr__(self, "gamma", float(self.gamma))

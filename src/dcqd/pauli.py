@@ -41,7 +41,6 @@ __all__ = [
     "multiply",
     "commutes",
     "tensor",
-    "adjoint",
     "weight",
     "support",
     "to_matrix",
@@ -120,9 +119,6 @@ class PauliOperator:
     def symplectic(self) -> np.ndarray:
         """Concatenated [x | z] row over GF(2)."""
         return np.array(self.x + self.z, dtype=np.uint8)
-
-    def adjoint(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x, self.z, (-self.phase) % 4)
 
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         return multiply(self, other)
@@ -216,10 +212,6 @@ def tensor(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     return PauliOperator(a.n + b.n, a.x + b.x, a.z + b.z, (a.phase + b.phase) % 4)
 
 
-def adjoint(a: PauliOperator) -> PauliOperator:
-    return a.adjoint()
-
-
 def weight(a: PauliOperator) -> int:
     return sum(1 for xb, zb in zip(a.x, a.z) if xb or zb)
 
@@ -229,11 +221,9 @@ def support(a: PauliOperator) -> frozenset:
     return frozenset(q + 1 for q in range(a.n) if a.x[q] or a.z[q])
 
 
-def to_matrix(op: PauliOperator, max_qubits: int = MAX_DENSE_QUBITS) -> np.ndarray:
+def to_matrix(op: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n matrix with site 1 as the most significant factor."""
-    if op.n > max_qubits:
-        raise MatrixSizeError(
-            f"refusing dense matrix for n={op.n} (limit {max_qubits})"
-        )
+    if op.n > MAX_DENSE_QUBITS:
+        raise MatrixSizeError(f"refusing dense matrix for n={op.n} (limit {MAX_DENSE_QUBITS})")
     mat = reduce(np.kron, (_MAT[ch] for ch in op.letters))
     return (1j ** op.phase) * mat

@@ -40,7 +40,6 @@ from .codes import (
     StabilizerCode,
     build_s0,
     build_s1,
-    codeword,
     destabilizers,
     codeword_state,
     located_error_table,
@@ -186,7 +185,8 @@ class CharacterizationResult:
 def prepare_probe(code: StabilizerCode) -> DensityMatrix:
     """The codeword density matrix (maximally entangled across the
     principal/ancilla split for the supported codes)."""
-    return codeword(code)
+    v = codeword_state(code)
+    return DensityMatrix(code.n, np.outer(v, v.conj()))
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,6 @@
 """Unit tests for fidelity, failure-rate accounting, and report helpers."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from dcqd import pauli
 from dcqd.analysis import (
     FailureOracle,
-    WeightClassCounts,
     binomial_weight_probability,
     channel_fidelity_vs_theory,
     chi_distance_report,
@@ -63,24 +63,20 @@ def test_fidelity_rejects_severely_negative_input():
 
 
 def test_binomial_weight_probability():
-    assert abs(binomial_weight_probability(0.1, 0) - 0.6561) < 1e-12
-    assert abs(binomial_weight_probability(0.1, 3) - 4 * 0.001 * 0.9) < 1e-12
-    assert abs(binomial_weight_probability(0.1, 3) - 0.0036) < 1e-12
-    total = sum(binomial_weight_probability(0.3, j) for j in range(5))
+    assert abs(binomial_weight_probability(0.1, 0, 4) - 0.6561) < 1e-12
+    assert abs(binomial_weight_probability(0.1, 3, 4) - 4 * 0.001 * 0.9) < 1e-12
+    assert abs(binomial_weight_probability(0.1, 3, 4) - 0.0036) < 1e-12
+    total = sum(binomial_weight_probability(0.3, j, 4) for j in range(5))
     assert abs(total - 1.0) < 1e-12
     # weight-1 of the standard grid point
-    assert abs(binomial_weight_probability(0.1, 1) - 0.2916) < 1e-12
+    assert abs(binomial_weight_probability(0.1, 1, 4) - 0.2916) < 1e-12
 
 
 def test_failure_oracle_frozen_counts():
     oracle = failure_oracle()
     assert oracle.code_label == "s1"
     assert oracle.ancilla_size == 4
-    rows = {c.weight: (c.total, c.detected, c.stabilizer, c.impostor) for c in oracle.weight_counts}
-    assert rows[1] == (12, 12, 0, 0)
-    assert rows[2] == (54, 36, 0, 18)
-    assert rows[3] == (108, 84, 0, 24)
-    assert rows[4] == (81, 60, 3, 18)
+    assert oracle.tallies == ((12, 0, 0), (36, 0, 18), (84, 0, 24), (60, 3, 18))
     assert oracle.failure_coefficients == (
         Fraction(0), Fraction(1, 3), Fraction(2, 9), Fraction(7, 27)
     )
@@ -90,8 +86,15 @@ def test_failure_oracle_frozen_counts():
 
 
 def test_failure_oracle_partition_complete():
-    oracle = failure_oracle()
-    assert sum(c.total for c in oracle.weight_counts) == 4 ** 4 - 1 == 255
+    # the three classes partition each weight class of the 4^a - 1
+    # non-identity ancilla patterns
+    for code in (build_s0(), build_s1()):
+        oracle = failure_oracle(code)
+        a = len(code.ancilla_sites)
+        assert oracle.ancilla_size == a
+        for w, row in enumerate(oracle.tallies, 1):
+            assert sum(row) == 3**w * math.comb(a, w)
+        assert sum(map(sum, oracle.tallies)) == 4**a - 1
 
 
 def test_weight4_stabilizers_act_trivially():
@@ -122,8 +125,7 @@ def test_oracle_tallies_match_syndrome_xor_classification(build):
     # against an independent classification of all 4^a ancilla patterns
     code = build()
     oracle = failure_oracle(code)
-    got = {c.weight: (c.detected, c.stabilizer, c.impostor) for c in oracle.weight_counts}
-    assert got == xor_failure_tallies(code)
+    assert dict(enumerate(oracle.tallies, 1)) == xor_failure_tallies(code)
 
 
 def test_analytic_failure_rate_frozen_value():
@@ -135,13 +137,8 @@ def test_analytic_failure_rate_frozen_value():
 def test_s0_has_no_filter():
     oracle = failure_oracle(build_s0())
     # without a detection prefix every non-identity error is undetected
-    assert all(c.detected == 0 for c in oracle.weight_counts)
+    assert all(detected == 0 for detected, _, _ in oracle.tallies)
     assert oracle.analytic_failure_rate(0.1) > 0.17
-
-
-def test_weight_class_counts_validation():
-    with pytest.raises(ValueError):
-        WeightClassCounts(weight=1, total=12, detected=10, stabilizer=0, impostor=0)
 
 
 def test_failure_rate_experiment_zero_noise():

@@ -156,6 +156,21 @@ def test_bad_config_file_exits_two(payload, capsys, tmp_path):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("command", ["characterize", "failure-sweep"])
+@pytest.mark.parametrize(
+    "flag",
+    [["--shots", str(2**63)], ["--seed", str(2**64 + 5)]],
+    ids=["shots-2^63", "seed-2^64+5"],
+)
+def test_out_of_range_shots_and_seed_exit_two(command, flag, capsys, tmp_path):
+    # shots past a C long would crash the multinomial draw, and the random
+    # streams keep 64 bits of a seed, so 2^64 + 5 would replay seed 5
+    code, out, err = run_cli([command, *flag, "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert "configuration error" in err and flag[0][2:] in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_failure_sweep_zero_point(capsys, tmp_path):
     argv = [
         "failure-sweep",

@@ -11,7 +11,6 @@ from dcqd.codes import (
     build_s0,
     build_s1,
     build_s422,
-    codeword,
     codeword_state,
     destabilizers,
     located_error_table,

@@ -49,6 +49,11 @@ def test_validation_messages_name_the_field():
         assert field in str(info.value)
 
 
+def test_largest_shots_and_seed_are_accepted():
+    config = ExperimentConfig(shots=2**63 - 1, seed=2**64 - 1)
+    assert (config.shots, config.seed) == (2**63 - 1, 2**64 - 1)
+
+
 def test_numeric_coercion():
     config = ExperimentConfig(shots=5000.0, gamma=0, seed=2.0)
     assert config.shots == 5000 and isinstance(config.shots, int)

@@ -116,14 +116,6 @@ def test_site_one_is_most_significant():
     assert np.argmax(np.abs(m @ vec)) == 0b10
 
 
-def test_adjoint_matches_conjugate_transpose(rng):
-    for _ in range(60):
-        op = random_pauli(rng, int(rng.integers(1, 5)))
-        assert np.allclose(
-            pl.to_matrix(pl.adjoint(op)), pl.to_matrix(op).conj().T, atol=1e-12
-        )
-
-
 def test_weight_and_support():
     op = pl.parse_pauli("XIYZ")
     assert pl.weight(op) == 3

@@ -2,7 +2,9 @@
 
 ``perfbench/run.py`` patches public dcqd functions by name during a
 traced pass; a deleted or renamed target would only fail there, so its
-target list is built here too.
+target list is built here too, and small passes of both benchmarked
+workloads must reach every span a pass needs.  A call that bypassed a
+traced name would otherwise read as a zero per-layer metric.
 """
 
 import importlib
@@ -38,7 +40,9 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
-def test_benchmark_trace_targets_resolve(monkeypatch):
+@pytest.fixture
+def bench(monkeypatch):
+    """The benchmark's spans and run modules, loaded read-only."""
     # read the benchmark's files without leaving bytecode next to them
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     for name in ("analysis", "channels", "cli", "codes", "protocol"):
@@ -46,8 +50,53 @@ def test_benchmark_trace_targets_resolve(monkeypatch):
     spans = load_by_path("spans", PERFBENCH / "spans.py")
     # run.py imports its sibling as a top-level module
     monkeypatch.setitem(sys.modules, "spans", spans)
-    bench = load_by_path("perfbench_run", PERFBENCH / "run.py")
-    targets = bench.trace_targets(dcqd, spans.Tracer())
+    return spans, load_by_path("perfbench_run", PERFBENCH / "run.py")
+
+
+def test_benchmark_trace_targets_resolve(bench):
+    spans, run = bench
+    targets = run.trace_targets(dcqd, spans.Tracer())
     assert targets
     for namespace, attr, wrapper in targets:
         assert callable(getattr(namespace, attr)) and callable(wrapper)
+
+
+def traced_calls(bench, workload, size, work) -> dict:
+    """Span name -> call count over one small pass of a benchmark workload."""
+    spans, run = bench
+    tracer = spans.Tracer()
+    job = run.WORKLOADS[workload](dcqd, size, 5, work)
+    with spans.patched(run.trace_targets(dcqd, tracer)):
+        job.run_pass()
+    return tracer.call_counts(0)
+
+
+# syndrome_basis is cached, so a warm pass never calls it
+CHARACTERIZE_SPANS = (
+    "cli.characterize",
+    "protocol.characterize",
+    "analysis.fidelity",
+    "analysis.chi_distance",
+    "codes.build_s0",
+    "codes.build_s1",
+    "codes.codeword",
+    "channels.build",
+    "channels.apply",
+    "protocol.run_setting",
+    "protocol.distribution",
+    "protocol.estimate",
+)
+
+
+# a few thousand shots leave the s0 estimate visibly noisy
+@pytest.mark.filterwarnings("ignore:clamping severely negative")
+def test_characterize_pass_reaches_every_traced_layer(bench, tmp_path):
+    calls = traced_calls(bench, "characterize-sampled", {"shots": 4000}, tmp_path)
+    assert {span: calls[span] for span in CHARACTERIZE_SPANS if not calls[span]} == {}
+
+
+def test_sweep_pass_builds_one_oracle_per_sweep(bench, tmp_path):
+    calls = traced_calls(bench, "failure-sweep", {"shots": 10_000, "grid": (0.1, 0.3)}, tmp_path)
+    assert calls["codes.build_s0"] >= 1 and calls["codes.build_s1"] >= 1
+    # one sweep per code
+    assert calls["analysis.sweep"] == calls["analysis.oracle"] == 2
