@@ -3,10 +3,12 @@
 Every Kraus operator here (amplitude damping, Pauli noise, Pauli
 unitaries and their products) has at most one nonzero entry per row, so
 a channel of m operators on n qubits is two ``(m, 2^n)`` arrays with
-``K_a[i, perm[a, i]] = coef[a, i]`` and zeros elsewhere.  Composing and
-applying channels is index arithmetic on them; each entry of such a
-product has a single nonzero term, so the results are bit-identical to
-dense matrix products.
+``K_a[i, perm[a, i]] = coef[a, i]`` and zeros elsewhere, and no two
+nonzero rows of one operator read the same column.  Composing channels
+is index arithmetic on the arrays; each entry of such a product has a
+single nonzero term, so the results are bit-identical to dense matrix
+products.  Applying a channel gathers m * nnz(rho) terms and is
+bit-identical to the dense sum of K_a rho K_a^dag (see ``apply``).
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class QuantumChannel:
         weight = np.bincount(perm.ravel(), (coef.real ** 2 + coef.imag ** 2).ravel(), dim)
         if np.max(np.abs(weight - 1.0)) > COMPLETENESS_TOL:
             raise ContractViolationError(f"channel {self.label!r} is not trace preserving")
+        # apply gathers through one reader per (operator, column)
+        if np.bincount(_flat_columns(perm)[coef != 0]).max() > 1:
+            raise ContractViolationError(
+                f"channel {self.label!r} has two nonzero rows of one operator reading one column"
+            )
         perm.setflags(write=False)
         coef.setflags(write=False)
         object.__setattr__(self, "perm", perm)
@@ -70,6 +77,12 @@ class QuantumChannel:
     def kraus(self) -> np.ndarray:
         """One weight row per Kraus operator: ``len`` counts the operators."""
         return self.coef
+
+
+def _flat_columns(perm: np.ndarray) -> np.ndarray:
+    """``a * dim + perm[a, i]``: operator a's column, unique across operators."""
+    m, dim = perm.shape
+    return perm + np.arange(0, m * dim, dim)[:, None]
 
 
 def _monomial(ops) -> tuple:
@@ -182,13 +195,47 @@ def channel_from_spec(entries, n: int) -> QuantumChannel:
 
 
 def apply(channel: QuantumChannel, rho: DensityMatrix) -> DensityMatrix:
-    """sum_a K_a rho K_a^dag, summed in operator order."""
+    """sum_a K_a rho K_a^dag, gathered over the nonzero entries of rho.
+
+    Each operator's nonzero rows read distinct columns (the one-reader
+    contract of ``QuantumChannel``), so ``reader[a, col]`` names the one
+    nonzero row i of operator a with ``perm[a, i] == col``, or -1.  A nonzero
+    rho[u, v] then sends ``(coef[a, i] * rho[u, v]) * conj(coef[a, j])``
+    to (i, j) for i = reader[a, u] and j = reader[a, v].  The terms are
+    laid out in operator order and summed per target by ``np.bincount``,
+    which adds in input order from +0.0: the sum over every operator in
+    turn, less its exact-zero terms.  A skipped term is +-0, and a
+    partial sum started at +0.0 is never -0.0, so leaving it out changes
+    no bit.
+
+    The cost is m * nnz(rho) terms for m operators.  Every caller in the
+    package passes the codeword probe ``protocol.prepare_probe``: 32,768
+    terms for s1 (64 of 4,096 entries nonzero, 512 operators) and 512
+    for s0.  A dense state costs dim^2 terms per operator; on a random
+    full-rank 6-qubit state under the s1 channel that is 154 ms against
+    23 ms for one dense 64x64 gather per operator (2-core host).
+    """
     if channel.n != rho.n:
         raise ValueError(f"channel on {channel.n} qubits, state on {rho.n}")
-    out = np.zeros((rho.dim, rho.dim), dtype=np.complex128)
-    for p, c in zip(channel.perm, channel.coef):
-        # (K rho K^dag)[i, j] = coef[i] * rho[perm[i], perm[j]] * conj(coef[j])
-        out += (c[:, None] * rho.data[p])[:, p] * c.conj()
+    dim = rho.dim
+    live = channel.coef != 0
+    # reader holds flat (operator, row) indices a * dim + i, so it indexes coef
+    reader = np.full(live.size, -1, dtype=np.intp)
+    reader[_flat_columns(channel.perm)[live]] = np.flatnonzero(live)
+    reader = reader.reshape(live.shape)
+    coef = channel.coef.ravel()
+    u, v = np.nonzero(rho.data)
+    rows, cols = reader[:, u], reader[:, v]
+    # a boolean mask reads row-major: operator order, then rho's entry order
+    hit = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[hit], cols[hit]
+    vals = np.broadcast_to(rho.data[u, v], hit.shape)[hit]
+    terms = (coef[rows] * vals) * coef[cols].conj()
+    # dim is a power of two: the mask takes i and j out of a * dim + i
+    target = (rows & (dim - 1)) * dim + (cols & (dim - 1))
+    out = np.empty((dim, dim), dtype=np.complex128)
+    out.real = np.bincount(target, terms.real, dim * dim).reshape(dim, dim)
+    out.imag = np.bincount(target, terms.imag, dim * dim).reshape(dim, dim)
     return DensityMatrix(rho.n, out)
 
 

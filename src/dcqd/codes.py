@@ -245,8 +245,9 @@ def build_s1() -> StabilizerCode:
     return concatenate_ancilla(build_s0(), build_s422())
 
 
+@lru_cache(maxsize=8)
 def codeword_state(code: StabilizerCode) -> np.ndarray:
-    """State vector of the unique codeword of a k=0 code.
+    """State vector of the unique codeword of a k=0 code, read-only.
 
     Built from the stabilizer projector prod_i (1 + g_i)/2, normalized so
     the first nonvanishing amplitude is real positive.
@@ -264,6 +265,7 @@ def codeword_state(code: StabilizerCode) -> np.ndarray:
         if abs(amp) > 1e-8:
             v = v * (abs(amp) / amp)
             break
+    v.setflags(write=False)
     return v
 
 

@@ -9,6 +9,9 @@
 * the dense einsum of every syndrome-row quadratic form, which the
   row-block gather of :func:`dcqd.protocol.setting_distribution` must
   reproduce bit for bit;
+* the cell-by-cell JSON form of a syndrome histogram, which the cached
+  key table of :meth:`dcqd.protocol.SyndromeHistogram.to_jsonable` must
+  reproduce exactly;
 * the operator-sum evaluation of a process matrix;
 * the per-weight classification of ancilla Pauli errors by XOR of
   single-letter syndrome words, which checks the enumeration oracle the
@@ -237,6 +240,26 @@ def dense_setting_distribution(rho: DensityMatrix, op: PreprocessingOp, code: St
         proj = (eye + sign * f) / 2.0
         rows.append(dense_syndrome_probs(proj @ state @ proj, code))
     return (1, -1), np.stack(rows)
+
+
+def loop_histogram_jsonable(hist) -> dict:
+    """``SyndromeHistogram.to_jsonable`` by one format call per cell."""
+    length = int(np.log2(hist.counts.shape[1]))
+    table = {}
+    for row, outcome in enumerate(hist.outcomes):
+        for s in range(hist.counts.shape[1]):
+            v = hist.counts[row, s]
+            if v == 0.0:
+                continue
+            bits = format(s, f"0{length}b")
+            key = bits if outcome == 0 else f"{outcome:+d}|{bits}"
+            table[key] = v if v != int(v) else int(v)
+    return {
+        "setting": hist.setting.label,
+        "total": hist.total if hist.total != int(hist.total) else int(hist.total),
+        "accepted": hist.accepted if hist.accepted != int(hist.accepted) else int(hist.accepted),
+        "counts": table,
+    }
 
 
 # ---------------------------------------------------------------- process matrices

@@ -126,6 +126,14 @@ def test_constructor_rejects_non_trace_preserving_sets():
         QuantumChannel(n=2, perm=[[0, 1]], coef=[[1.0, 1.0]], label="shape", support={1})
 
 
+def test_constructor_rejects_two_rows_of_one_operator_reading_one_column():
+    # K1 = (|0><0| + |1><0|)/sqrt(2) and K2 = |1><1| preserve the trace,
+    # but both rows of K1 read column 0, which apply's reader table cannot hold
+    r = 1 / np.sqrt(2)
+    with pytest.raises(ContractViolationError, match="reading one column"):
+        QuantumChannel(n=1, perm=[[0, 0], [0, 1]], coef=[[r, r], [0, 1]], label="split", support={1})
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         amplitude_damping(1.5, 1, 1)

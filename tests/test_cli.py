@@ -192,6 +192,22 @@ def test_failure_sweep_zero_point(capsys, tmp_path):
     assert abs(float(p1_row[6]) - 0.017025925925925927) < 1e-15
 
 
+# sha256 of whole output files for
+# characterize --scenario s1_noisy --backend exact --p 0.1, so that a
+# change to the file format shows as well as a change to the values
+PINNED_EXACT_FILES = {
+    "histograms.json": "e1390ed56592d40c24e2f874289f4d7b84794cbe181b0d46b74511f9790fa4a5",
+    "fidelity.json": "f430cf0511f725b91be72fb0d9cd105de3db7feb5b5238b5973a03de3a965175",
+}
+
+
+def test_exact_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
+    argv = ["characterize", "--scenario", "s1_noisy", "--backend", "exact", "--p", "0.1"]
+    assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == 0
+    for name, digest in PINNED_EXACT_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 # sha256 of the failure_sweep.csv data rows (comment and column header
 # dropped, rows joined by newlines) for failure-sweep --seed 7 --shots 200000
 PINNED_SWEEP_SEED7 = {

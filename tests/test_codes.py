@@ -119,6 +119,13 @@ def test_codeword_is_stabilized():
             assert np.allclose(to_matrix(g) @ v, v, atol=1e-12)
 
 
+def test_codeword_is_cached_and_read_only():
+    v = codeword_state(build_s1())
+    assert codeword_state(build_s1()) is v
+    with pytest.raises(ValueError):
+        v[0] = 0.0
+
+
 def test_codeword_requires_k0():
     with pytest.raises(UnsupportedCodeError):
         codeword_state(build_s422())

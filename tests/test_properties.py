@@ -11,7 +11,7 @@ from dcqd.analysis import (
     channel_fidelity_vs_theory,
     failure_oracle,
 )
-from dcqd.channels import apply, channel_from_spec
+from dcqd.channels import apply, channel_from_spec, compose, pauli_unitary_channel
 from dcqd.codes import build_s0, build_s1, syndrome_of_error
 from dcqd.config import SCENARIOS, ExperimentConfig
 from dcqd.pauli import commutes, multiply, parse_pauli
@@ -25,6 +25,7 @@ from dcqd.protocol import (
     standard_settings,
 )
 from dcqd.rng import sample_counts
+from dcqd.states import DensityMatrix
 from oracles import apply_channel, dense_kraus, dense_setting_distribution, dense_syndrome_probs
 
 # few, fixed examples: each one runs real characterizations
@@ -36,6 +37,8 @@ elements = st.lists(
 strengths = st.floats(0.0, 1.0, allow_nan=False)
 # full-register Pauli letters, cut to the code's length
 paulis = st.text("IXYZ", min_size=6, max_size=6)
+# the codes whose codeword probe lives on n qubits
+PROBE_CODES = {4: build_s0, 6: build_s1}
 
 
 @lru_cache(maxsize=None)
@@ -75,16 +78,66 @@ def test_channel_fidelity_lies_in_unit_interval(scenario, shots, seed):
     assert -1e-12 <= value <= 1.0 + 1e-12
 
 
+@st.composite
+def monomial_channels(draw):
+    """A random damping/depolarizing list on 1-6 qubits, sometimes
+    composed with a Pauli unitary on either side."""
+    n = draw(st.integers(1, 6))
+    entry = st.fixed_dictionaries(
+        {
+            "type": st.sampled_from(("amplitude_damping", "depolarizing")),
+            "site": st.integers(1, n),
+            "parameter": strengths,
+        }
+    )
+    channel = channel_from_spec(draw(st.lists(entry, max_size=3)), n)
+    side = draw(st.sampled_from(("none", "before", "after")))
+    if side != "none":
+        unitary = pauli_unitary_channel(parse_pauli(draw(st.text("IXYZ", min_size=n, max_size=n))))
+        channel = compose(channel, unitary) if side == "before" else compose(unitary, channel)
+    return channel
+
+
+def sparse_mixture(rng, n):
+    """A random mixture of up to three pure states with 1-4 nonzero amplitudes each."""
+    dim = 2 ** n
+    rho = np.zeros((dim, dim), dtype=np.complex128)
+    for w in rng.dirichlet(np.ones(rng.integers(1, 4))):
+        psi = np.zeros(dim, dtype=np.complex128)
+        live = rng.choice(dim, size=rng.integers(1, min(dim, 4) + 1), replace=False)
+        psi[live] = rng.normal(size=len(live)) + 1j * rng.normal(size=len(live))
+        psi /= np.linalg.norm(psi)
+        rho += w * np.outer(psi, psi.conj())
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+def full_rank_state(rng, n):
+    dim = 2 ** n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return DensityMatrix(n, rho / np.trace(rho).real)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(channel=monomial_channels(), seed=st.integers(0, 2**32 - 1))
+def test_channel_apply_matches_dense_kraus_oracle(channel, seed):
+    rng = np.random.default_rng(seed)
+    states = [sparse_mixture(rng, channel.n), full_rank_state(rng, channel.n)]
+    if channel.n in PROBE_CODES:
+        states.append(prepare_probe(PROBE_CODES[channel.n]()))
+    kraus = dense_kraus(channel)
+    for rho in states:
+        # apply leaves out only exact-zero terms and adds the rest in
+        # operator order, as the dense sum does
+        assert np.array_equal(apply(channel, rho).data, apply_channel(rho, kraus).data)
+
+
 @FEW
 @given(scenario=st.sampled_from(("s0_noisy", "s1_noisy")), gamma=strengths, p=strengths)
-def test_channel_apply_matches_dense_kraus_oracle(scenario, gamma, p):
+def test_scenario_channel_on_the_probe_matches_dense_kraus_oracle(scenario, gamma, p):
     code, channel = resolve_scenario(ExperimentConfig(scenario=scenario, gamma=gamma, p=p))
     probe = prepare_probe(code)
-    got = apply(channel, probe).data
-    want = apply_channel(probe, dense_kraus(channel)).data
-    # each entry of K rho K^dag has one nonzero term, so the gathers
-    # compute the very products the dense matmuls do
-    assert np.array_equal(got, want)
+    assert np.array_equal(apply(channel, probe).data, apply_channel(probe, dense_kraus(channel)).data)
 
 
 def noisy_probe(code, gamma, p):

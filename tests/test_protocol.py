@@ -37,7 +37,7 @@ from dcqd.protocol import (
     syndrome_basis,
 )
 from dcqd.rng import sample_counts
-from oracles import dense_syndrome_probs, run_shot, shot_stream
+from oracles import dense_syndrome_probs, loop_histogram_jsonable, run_shot, shot_stream
 
 
 def make_config(**overrides):
@@ -426,6 +426,17 @@ def test_histogram_bookkeeping():
     doc = hist.to_jsonable()
     assert doc["setting"] == "I"
     assert doc["total"] == 10_000
+
+
+@pytest.mark.parametrize("backend, shots", [("exact", 1), ("sampling", 20_000)], ids=["exact", "sampling"])
+@pytest.mark.parametrize("scenario", ["s0_noisy", "s1_noisy"])
+def test_histogram_json_matches_cell_by_cell_reference(scenario, backend, shots):
+    result = characterize(make_config(scenario=scenario, backend=backend, shots=shots))
+    assert {h.outcomes for h in result.histograms} == {(0,), (1, -1)}
+    for hist in result.histograms:
+        got, want = hist.to_jsonable(), loop_histogram_jsonable(hist)
+        assert got == want
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_s1_scenario_rejects_some_shots():
