@@ -13,13 +13,12 @@ from .channels import theoretical_chi_ad
 from .codes import build_s0, build_s1
 from .config import ConfigError, ExperimentConfig
 from .process_matrix import ProcessMatrix
-from .protocol import characterize, partial_characterize
+from .protocol import characterize
 
 __all__ = [
     "ExperimentConfig",
     "ConfigError",
     "characterize",
-    "partial_characterize",
     "channel_fidelity_vs_theory",
     "failure_rate_experiment",
     "failure_oracle",

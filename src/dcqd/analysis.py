@@ -38,7 +38,6 @@ __all__ = [
     "FailureOracle",
     "FailureRateReport",
     "ChiDistance",
-    "single_qubit_block",
     "apply_single_qubit_block",
     "channel_fidelity_vs_theory",
     "binomial_weight_probability",
@@ -100,26 +99,16 @@ _PAULI_1Q = (
 )
 
 
-def single_qubit_block(chi: ProcessMatrix) -> np.ndarray:
-    """The 4x4 corner of chi whose labels act only on the first qubit.
-
-    The first four basis labels carry I, X, Y, Z on qubit one and the
-    identity on qubit two, so this block is the process matrix of the
-    channel restricted to single-qubit operator directions.  For a
-    channel that genuinely touches only qubit one it holds all the mass;
-    estimation corruption scatters mass outside it.
-    """
-    return chi.data[:4, :4].copy()
-
-
 def apply_single_qubit_block(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     """Evaluate the single-qubit-block map sum_mn chi_mn s_m rho s_n^dag.
 
-    The result is Hermitian by construction but not trace normalized:
-    mass that the estimate assigns to two-qubit operator directions is
-    simply absent, and that trace deficit is the point of the score.
+    The block is the 4x4 corner of chi: the first four basis labels carry
+    I, X, Y, Z on qubit one and the identity on qubit two.  The result is
+    Hermitian by construction but not trace normalized: mass that the
+    estimate assigns to two-qubit operator directions is simply absent,
+    and that trace deficit is the point of the score.
     """
-    block = single_qubit_block(chi)
+    block = chi.data[:4, :4]
     mat = np.asarray(rho, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2x2 input, got {mat.shape}")

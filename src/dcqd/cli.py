@@ -91,7 +91,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out} is not a usable directory: {exc.strerror}") from exc
     return out
 
 
@@ -110,12 +113,12 @@ def _build_config(args, keys=tuple(DEFAULTS)) -> ExperimentConfig:
 
 
 def cmd_table(args) -> int:
+    out = None if args.out is None else _out_dir(args)
     computed = _table_csv_text()
     code = build_s1()
     for idx, _, syn in located_error_table(code):
         print(f"{BASIS_LABELS[idx]}, {syn:0{code.r}b}")
-    if args.out is not None:
-        out = _out_dir(args)
+    if out is not None:
         (out / "located_error_table.csv").write_text(computed)
     golden = _golden_table_text()
     if computed != golden:
@@ -126,10 +129,10 @@ def cmd_table(args) -> int:
 
 def cmd_characterize(args) -> int:
     config = _build_config(args)
+    out = _out_dir(args)
     result = characterize(config)
     fid = channel_fidelity_vs_theory(result.chi, config.gamma)
     diff = chi_distance_report(result.chi, theoretical_chi_ad(config.gamma))
-    out = _out_dir(args)
     header = f"# config={config.config_hash()} seed={config.seed}\n"
 
     real_lines = [header + "m,n,value"]
@@ -175,7 +178,7 @@ def cmd_characterize(args) -> int:
     )
     _write_json(
         out / "effective_config.json",
-        dict(result.config.to_dict(), config_hash=config.config_hash()),
+        dict(config.to_dict(), config_hash=config.config_hash()),
     )
     print(f"scenario {config.scenario}: fidelity vs theory = {fid.value:.6f}")
     return 0
@@ -193,12 +196,12 @@ def cmd_failure_sweep(args) -> int:
     outside = [p for p in p_values if not 0.0 <= p <= 1.0]
     if outside:
         raise ConfigError(f"p-values must lie in [0, 1], got {outside}")
+    out = _out_dir(args)
     code = SWEEP_CODES[args.code]()
     reports = failure_rate_experiment(p_values, config.shots, config.seed, code=code)
     # record and hash only what the sweep reads
     record = {"code": args.code, "p_values": p_values, "seed": config.seed, "shots": config.shots}
     digest = settings_hash(record)
-    out = _out_dir(args)
     header = f"# config={digest} seed={config.seed}\n"
     lines = [header + "p,p_identity_syndrome,P_identity,delta_p1,p_00,p_F,analytic_p_F"]
     for r in reports:
@@ -336,9 +339,9 @@ def _selftest_checks():
 def cmd_selftest(args) -> int:
     failures = 0
     for name, check in _selftest_checks():
-        start = time.time()
+        start = time.perf_counter()
         problem = check()
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         if problem is None:
             print(f"ok: {name} ({elapsed:.2f}s)")
         else:

@@ -22,9 +22,8 @@ vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "multiply",
     "commutes",
     "tensor",
-    "weight",
     "support",
     "to_matrix",
 ]
@@ -210,10 +208,6 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
 def tensor(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Tensor product with a on the left (lower site numbers)."""
     return PauliOperator(a.n + b.n, a.x + b.x, a.z + b.z, (a.phase + b.phase) % 4)
-
-
-def weight(a: PauliOperator) -> int:
-    return sum(1 for xb, zb in zip(a.x, a.z) if xb or zb)
 
 
 def support(a: PauliOperator) -> frozenset:

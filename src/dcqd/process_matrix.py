@@ -60,15 +60,5 @@ class ProcessMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    def entry(self, m, n) -> complex:
-        """Element by integer index or basis label."""
-        mi = BASIS_INDEX[m] if isinstance(m, str) else int(m)
-        ni = BASIS_INDEX[n] if isinstance(n, str) else int(n)
-        return complex(self.data[mi, ni])
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.data.diagonal().real.copy()
-
     def max_abs_diff(self, other: "ProcessMatrix") -> float:
         return float(np.max(np.abs(self.data - other.data)))

@@ -57,14 +57,11 @@ __all__ = [
     "IncompleteDataError",
     "standard_settings",
     "prepare_probe",
-    "preprocessing_unitary",
     "syndrome_basis",
     "setting_distribution",
     "run_setting",
     "resolve_scenario",
     "characterize",
-    "partial_characterize",
-    "estimate_diagonal",
     "estimate_offdiagonal",
 ]
 
@@ -72,7 +69,7 @@ NEGATIVE_PROB_TOL = 1e-9
 
 
 class IncompleteDataError(ValueError):
-    """Estimation was asked for elements whose settings were never run."""
+    """A setting has no accepted events to estimate from."""
 
 
 class PreprocessingKind(Enum):
@@ -172,20 +169,6 @@ def _json_keys(outcomes: tuple, columns: int) -> tuple:
 class CharacterizationResult:
     chi: ProcessMatrix
     histograms: tuple
-    config: ExperimentConfig
-
-    def histogram(self, label: str) -> SyndromeHistogram:
-        for h in self.histograms:
-            if h.setting.label == label:
-                return h
-        raise KeyError(label)
-
-    @property
-    def accepted_fraction(self) -> dict:
-        return {
-            h.setting.label: (h.accepted / h.total if h.total else 0.0)
-            for h in self.histograms
-        }
 
 
 def prepare_probe(code: StabilizerCode) -> DensityMatrix:
@@ -359,67 +342,35 @@ def _product_tables():
     return j_table, phi_table
 
 
-def estimate_diagonal(hist: SyndromeHistogram, code: StabilizerCode) -> np.ndarray:
-    """chi_ii as the accepted-shot relative frequency of located syndrome i.
+def estimate_offdiagonal(hists: tuple, code: StabilizerCode) -> ProcessMatrix:
+    """The Hermitian chi estimate from the 31 histograms of one run.
 
-    The accepted syndromes of both supported codes are exactly the
-    sixteen located ones, so the entries sum to one by construction.
+    ``hists`` holds one histogram per setting in :func:`standard_settings`
+    order: the plain setting is ``hists[0]``, the rotation U_j is
+    ``hists[j]`` and the projection P_j is ``hists[15 + j]``.  Every rate
+    is a count at a located syndrome over the setting's accepted shots.
+    The plain setting gives the diagonal; the U_j/P_j pair gives
+    raw[J, i] with phi F_J = F_i F_j, and the fifteen pairs reach every
+    off-diagonal entry once.  Averaging raw with its conjugate transpose
+    makes the estimate Hermitian.  The accepted syndromes of both
+    supported codes are exactly the sixteen located ones, so the
+    diagonal sums to one by construction.
     """
-    if hist.accepted <= 0:
-        raise IncompleteDataError("no accepted events to estimate from")
-    syn = [s for _, _, s in located_error_table(code)]
-    return hist.counts[0, syn] / hist.accepted
-
-
-def _raw_estimate(
-    h_identity: SyndromeHistogram,
-    h_unitary: dict,
-    h_projective: dict,
-    code: StabilizerCode,
-) -> np.ndarray:
-    """Unsymmetrized chi estimate from whichever settings are given.
-
-    The plain setting fills the diagonal.  The rotation/projection pair
-    for F_j fills the sixteen entries raw[J, i] with phi F_J = F_i F_j;
-    entries that no given pair reaches stay zero.
-    """
-    diag = estimate_diagonal(h_identity, code)
+    if tuple(h.setting for h in hists) != standard_settings():
+        raise ValueError("expected one histogram per setting in standard_settings() order")
+    empty = [h.setting.label for h in hists if h.accepted <= 0]
+    if empty:
+        raise IncompleteDataError(f"no accepted events in setting {', '.join(empty)}")
     syn = [s for _, _, s in located_error_table(code)]
     j_table, phi_table = _product_tables()
-    raw = np.zeros((16, 16), dtype=np.complex128)
-    np.fill_diagonal(raw, diag)
-    for j in sorted(h_unitary):
-        hu = h_unitary[j]
-        hp = h_projective[j]
-        if hu.accepted <= 0 or hp.accepted <= 0:
-            raise IncompleteDataError(f"no accepted events in setting {BASIS_LABELS[j]}")
-        for i in range(16):
-            big_j = int(j_table[i, j])
-            phi = phi_table[i, j]
-            p_rot = hu.counts[0, syn[i]] / hu.accepted
-            imag = (diag[i] + diag[big_j]) / 2.0 - p_rot
-            real = (hp.counts[0, syn[i]] - hp.counts[1, syn[i]]) / hp.accepted
-            raw[big_j, i] = np.conj(phi) * (real + 1j * imag)
-    return raw
-
-
-def estimate_offdiagonal(
-    h_identity: SyndromeHistogram,
-    h_unitary: dict,
-    h_projective: dict,
-    code: StabilizerCode,
-) -> ProcessMatrix:
-    """Assemble the full Hermitian chi estimate from all 31 histograms.
-
-    ``h_unitary`` and ``h_projective`` map the basis index j to the
-    corresponding setting histogram.  Raises IncompleteDataError naming
-    any missing setting.
-    """
-    missing = [f"U{BASIS_LABELS[j]}" for j in range(1, 16) if j not in h_unitary]
-    missing += [f"P{BASIS_LABELS[j]}" for j in range(1, 16) if j not in h_projective]
-    if missing:
-        raise IncompleteDataError(f"missing settings: {', '.join(missing)}")
-    raw = _raw_estimate(h_identity, h_unitary, h_projective, code)
+    # row j - 1, column i: the F_j pair's entry raw[J, i]
+    big_j = j_table[:, 1:].T
+    rotated = np.stack([h.counts[0, syn] / h.accepted for h in hists[1:16]])
+    signed = np.stack([(h.counts[0, syn] - h.counts[1, syn]) / h.accepted for h in hists[16:]])
+    diag = hists[0].counts[0, syn] / hists[0].accepted
+    imag = (diag + diag[big_j]) / 2.0 - rotated
+    raw = np.diag(diag.astype(np.complex128))
+    raw[big_j, np.arange(16)] = phi_table[:, 1:].T.conj() * (signed + 1j * imag)
     return ProcessMatrix((raw + raw.conj().T) / 2.0)
 
 
@@ -446,64 +397,12 @@ def resolve_scenario(config: ExperimentConfig):
     return code, channels_mod.channel_from_spec(entries, code.n)
 
 
-def _run_settings(config: ExperimentConfig, ops) -> tuple:
-    """(code, histograms) of the given settings in the config's scenario."""
+def characterize(config: ExperimentConfig) -> CharacterizationResult:
+    """Full 31-setting run followed by chi reconstruction."""
     code, channel = resolve_scenario(config)
     rho_e = channels_mod.apply(channel, prepare_probe(code))
     hists = tuple(
-        run_setting(
-            code,
-            channel,
-            op,
-            shots=config.shots,
-            seed=config.seed,
-            backend=config.backend,
-            rho_after_channel=rho_e,
-        )
-        for op in ops
+        run_setting(code, channel, op, config.shots, config.seed, config.backend, rho_e)
+        for op in standard_settings()
     )
-    return code, hists
-
-
-def _by_index(hists, kind: PreprocessingKind) -> dict:
-    return {h.setting.f_index: h for h in hists if h.setting.kind is kind}
-
-
-def characterize(config: ExperimentConfig) -> CharacterizationResult:
-    """Full 31-setting run followed by chi reconstruction."""
-    code, hists = _run_settings(config, standard_settings())
-    chi = estimate_offdiagonal(
-        hists[0],
-        _by_index(hists, PreprocessingKind.COHERENCE_UNITARY),
-        _by_index(hists, PreprocessingKind.COHERENCE_PROJECTIVE),
-        code,
-    )
-    return CharacterizationResult(chi=chi, histograms=hists, config=config)
-
-
-def partial_characterize(config: ExperimentConfig, elements) -> dict:
-    """Estimate only the requested chi elements.
-
-    Runs the plain setting always (the diagonal feeds every estimator)
-    plus the one rotation/projection pair per requested off-diagonal
-    element.  Requesting only diagonal elements therefore runs exactly
-    one setting.  Elements are read off the same raw estimate that
-    :func:`characterize` symmetrizes, so both agree bit for bit.
-    """
-    pairs = [(int(m), int(n)) for m, n in elements]
-    for m, n in pairs:
-        if not (0 <= m < 16 and 0 <= n < 16):
-            raise ValueError(f"element ({m}, {n}) out of range")
-    j_table, _ = _product_tables()
-    ops = [PreprocessingOp(PreprocessingKind.IDENTITY)]
-    for j in sorted({int(j_table[m, n]) for m, n in pairs if m != n}):
-        ops.append(PreprocessingOp(PreprocessingKind.COHERENCE_UNITARY, j))
-        ops.append(PreprocessingOp(PreprocessingKind.COHERENCE_PROJECTIVE, j))
-    code, hists = _run_settings(config, ops)
-    raw = _raw_estimate(
-        hists[0],
-        _by_index(hists, PreprocessingKind.COHERENCE_UNITARY),
-        _by_index(hists, PreprocessingKind.COHERENCE_PROJECTIVE),
-        code,
-    )
-    return {(m, n): complex((raw[m, n] + np.conj(raw[n, m])) / 2.0) for m, n in pairs}
+    return CharacterizationResult(chi=estimate_offdiagonal(hists, code), histograms=hists)

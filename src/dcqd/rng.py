@@ -14,9 +14,7 @@ import numpy as np
 
 __all__ = [
     "BLOCK_SHOTS",
-    "derive_key",
     "sample_counts",
-    "scoped_generator",
 ]
 
 # no draw uses it; perfbench/run.py imports it for its computed rng.blocks count

@@ -12,7 +12,9 @@
 * the cell-by-cell JSON form of a syndrome histogram, which the cached
   key table of :meth:`dcqd.protocol.SyndromeHistogram.to_jsonable` must
   reproduce exactly;
-* the operator-sum evaluation of a process matrix;
+* the operator-sum evaluation of a process matrix, and the chi
+  estimate by one element at a time, which the array form of
+  :func:`dcqd.protocol.estimate_offdiagonal` must reproduce bit for bit;
 * the per-weight classification of ancilla Pauli errors by XOR of
   single-letter syndrome words, which checks the enumeration oracle the
   failure sweep draws from;
@@ -39,7 +41,7 @@ from dcqd.codes import (
     syndrome_of_error,
 )
 from dcqd.pauli import PauliOperator, single_site, to_matrix
-from dcqd.process_matrix import ProcessMatrix, basis_paulis
+from dcqd.process_matrix import BASIS_INDEX, ProcessMatrix, basis_paulis
 from dcqd.protocol import (
     PreprocessingKind,
     PreprocessingOp,
@@ -280,6 +282,31 @@ def apply_process(chi: ProcessMatrix, rho) -> np.ndarray:
         raise ValueError(f"expected a 4x4 input, got {mat.shape}")
     f = basis_matrices()
     return np.einsum("mn,mij,jk,nlk->il", chi.data, f, mat, f.conj())
+
+
+def loop_chi_estimate(hists, code: StabilizerCode) -> np.ndarray:
+    """The chi estimate of 31 histograms in standard_settings() order.
+
+    The plain setting's accepted rate of located syndrome i is chi_ii.
+    For each F_j and each i, with phi F_J = F_i F_j, the U_j rate of
+    syndrome i gives Im(phi chi_Ji) and the P_j sign difference gives
+    Re(phi chi_Ji); the result is averaged with its conjugate transpose.
+    """
+    syn = [s for _, _, s in located_error_table(code)]
+    ops = basis_paulis()
+    diag = hists[0].counts[0, syn] / hists[0].accepted
+    raw = np.zeros((16, 16), dtype=np.complex128)
+    np.fill_diagonal(raw, diag)
+    for j in range(1, 16):
+        hu, hp = hists[j], hists[15 + j]
+        for i in range(16):
+            prod = pauli.multiply(ops[i], ops[j])
+            big_j = BASIS_INDEX[prod.letters]
+            p_rot = hu.counts[0, syn[i]] / hu.accepted
+            imag = (diag[i] + diag[big_j]) / 2.0 - p_rot
+            real = (hp.counts[0, syn[i]] - hp.counts[1, syn[i]]) / hp.accepted
+            raw[big_j, i] = np.conj(1j ** prod.phase) * (real + 1j * imag)
+    return (raw + raw.conj().T) / 2.0
 
 
 # ---------------------------------------------------------------- collapse simulator

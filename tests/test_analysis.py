@@ -15,7 +15,6 @@ from dcqd.analysis import (
     failure_oracle,
     failure_rate_experiment,
     loglog_slope,
-    single_qubit_block,
     apply_single_qubit_block,
 )
 from dcqd.channels import theoretical_chi_ad
@@ -242,7 +241,7 @@ def test_chi_distance_reports_difference():
 
 def test_single_qubit_block_holds_all_theory_mass():
     chi = theoretical_chi_ad(0.7)
-    block = single_qubit_block(chi)
+    block = chi.data[:4, :4]
     assert block.shape == (4, 4)
     assert abs(np.trace(block).real - 1.0) < 1e-12
     assert abs(np.abs(chi.data).sum() - np.abs(block).sum()) < 1e-12

@@ -192,14 +192,14 @@ def test_pauli_unitary_channel_is_exact():
 def test_theoretical_chi_frozen_entries():
     chi = theoretical_chi_ad(0.4)
     ii, xi, yi, zi = (BASIS_INDEX[s] for s in ("II", "XI", "YI", "ZI"))
-    assert abs(chi.entry(ii, ii) - 0.787298334620742) < 1e-14
-    assert abs(chi.entry(zi, zi) - 0.012701665379258) < 1e-14
-    assert abs(chi.entry(ii, zi) - 0.1) < 1e-14
-    assert abs(chi.entry(zi, ii) - 0.1) < 1e-14
-    assert abs(chi.entry(xi, xi) - 0.1) < 1e-14
-    assert abs(chi.entry(yi, yi) - 0.1) < 1e-14
-    assert abs(chi.entry(xi, yi) - (-0.1j)) < 1e-14
-    assert abs(chi.entry(yi, xi) - 0.1j) < 1e-14
+    assert abs(chi.data[ii, ii] - 0.787298334620742) < 1e-14
+    assert abs(chi.data[zi, zi] - 0.012701665379258) < 1e-14
+    assert abs(chi.data[ii, zi] - 0.1) < 1e-14
+    assert abs(chi.data[zi, ii] - 0.1) < 1e-14
+    assert abs(chi.data[xi, xi] - 0.1) < 1e-14
+    assert abs(chi.data[yi, yi] - 0.1) < 1e-14
+    assert abs(chi.data[xi, yi] - (-0.1j)) < 1e-14
+    assert abs(chi.data[yi, xi] - 0.1j) < 1e-14
     # nothing outside the single-qubit block
     mask = np.ones((16, 16), dtype=bool)
     for a in (ii, xi, yi, zi):

@@ -171,6 +171,21 @@ def test_out_of_range_shots_and_seed_exit_two(command, flag, capsys, tmp_path):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", ["characterize", "table", "failure-sweep"])
+def test_out_naming_a_file_exits_two_before_running(command, capsys, tmp_path, monkeypatch):
+    target = tmp_path / "f"
+    target.write_text("kept\n")
+    # the directory is resolved before any experiment runs
+    monkeypatch.setattr(cli, "characterize", None)
+    monkeypatch.setattr(cli, "failure_rate_experiment", None)
+    code, out, err = run_cli([command, "--out", str(target)], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error") and str(target) in err
+    assert target.read_text() == "kept\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
 def test_failure_sweep_zero_point(capsys, tmp_path):
     argv = [
         "failure-sweep",

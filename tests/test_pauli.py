@@ -29,7 +29,7 @@ def test_identity_letters_and_matrix():
 def test_single_site_letters():
     op = pl.single_site(4, 2, "Y")
     assert op.letters == "IYII"
-    assert pl.weight(op) == 1
+    assert len(pl.support(op)) == 1
 
 
 def test_parse_format_round_trip(rng):
@@ -118,7 +118,7 @@ def test_site_one_is_most_significant():
 
 def test_weight_and_support():
     op = pl.parse_pauli("XIYZ")
-    assert pl.weight(op) == 3
+    assert len(pl.support(op)) == 3
     assert pl.support(op) == frozenset({1, 3, 4})
 
 

@@ -52,10 +52,10 @@ def test_process_matrix_entry_by_label_and_index():
     data[1, 3] = 0.5j
     data[3, 1] = -0.5j
     chi = ProcessMatrix(data)
-    assert chi.entry("II", "II") == 1.0
-    assert chi.entry("XI", "ZI") == 0.5j
-    assert chi.entry(3, 1) == -0.5j
-    assert np.allclose(chi.diagonal, data.diagonal().real)
+    assert chi.data[BASIS_INDEX["II"], BASIS_INDEX["II"]] == 1.0
+    assert chi.data[BASIS_INDEX["XI"], BASIS_INDEX["ZI"]] == 0.5j
+    assert chi.data[3, 1] == -0.5j
+    assert np.allclose(chi.data.diagonal().real, data.diagonal().real)
 
 
 def test_identity_process_is_identity_map(rng):

@@ -1,4 +1,4 @@
-"""Property tests over random configurations, elements, seeds and noise."""
+"""Property tests over random configurations, seeds and noise."""
 
 from functools import lru_cache
 
@@ -18,7 +18,6 @@ from dcqd.pauli import commutes, multiply, parse_pauli
 from dcqd.protocol import (
     _syndrome_probs,
     characterize,
-    partial_characterize,
     prepare_probe,
     resolve_scenario,
     setting_distribution,
@@ -31,9 +30,6 @@ from oracles import apply_channel, dense_kraus, dense_setting_distribution, dens
 # few, fixed examples: each one runs real characterizations
 FEW = settings(max_examples=6, deadline=None, derandomize=True, database=None)
 
-elements = st.lists(
-    st.tuples(st.integers(0, 15), st.integers(0, 15)), min_size=1, max_size=4
-)
 strengths = st.floats(0.0, 1.0, allow_nan=False)
 # full-register Pauli letters, cut to the code's length
 paulis = st.text("IXYZ", min_size=6, max_size=6)
@@ -44,25 +40,6 @@ PROBE_CODES = {4: build_s0, 6: build_s1}
 @lru_cache(maxsize=None)
 def oracle_of(build):
     return failure_oracle(build())
-
-
-@lru_cache(maxsize=None)
-def full_chi(config: ExperimentConfig) -> np.ndarray:
-    return characterize(config).chi.data
-
-
-@pytest.mark.filterwarnings("ignore:clamping severely negative")
-@pytest.mark.parametrize(
-    "backend, shots", [("exact", 1), ("sampling", 2000)], ids=["exact", "sampling"]
-)
-@FEW
-@given(scenario=st.sampled_from(("s0_noisy", "s1_noisy")), pairs=elements)
-def test_partial_equals_full_bit_for_bit(backend, shots, scenario, pairs):
-    config = ExperimentConfig(scenario=scenario, shots=shots, seed=3, backend=backend)
-    partial = partial_characterize(config, pairs)
-    chi = full_chi(config)
-    for m, n in pairs:
-        assert partial[(m, n)] == chi[m, n]
 
 
 @pytest.mark.filterwarnings("ignore:clamping severely negative")

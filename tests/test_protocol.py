@@ -19,15 +19,13 @@ from dcqd.channels import (
 from dcqd.codes import build_s0, build_s1
 from dcqd.config import ExperimentConfig
 from dcqd.pauli import single_site
-from dcqd.process_matrix import BASIS_INDEX, BASIS_LABELS
+from dcqd.process_matrix import BASIS_INDEX
 from dcqd.protocol import (
     IncompleteDataError,
     PreprocessingKind,
     PreprocessingOp,
     characterize,
-    estimate_diagonal,
     estimate_offdiagonal,
-    partial_characterize,
     prepare_probe,
     preprocessing_unitary,
     resolve_scenario,
@@ -37,7 +35,13 @@ from dcqd.protocol import (
     syndrome_basis,
 )
 from dcqd.rng import sample_counts
-from oracles import dense_syndrome_probs, loop_histogram_jsonable, run_shot, shot_stream
+from oracles import (
+    dense_syndrome_probs,
+    loop_chi_estimate,
+    loop_histogram_jsonable,
+    run_shot,
+    shot_stream,
+)
 
 
 def make_config(**overrides):
@@ -190,11 +194,9 @@ def test_run_shot_matches_distribution():
 
 
 def test_exact_backend_diagonal_frozen():
-    code = build_s1()
-    chan = amplitude_damping(0.4, 1, 6)
-    op = PreprocessingOp(PreprocessingKind.IDENTITY)
-    hist = run_setting(code, chan, op, shots=0, seed=0, backend="exact")
-    diag = estimate_diagonal(hist, code)
+    # s1 under damping alone
+    config = make_config(scenario="s1_clean", gamma=0.4, backend="exact", shots=1)
+    diag = characterize(config).chi.data.diagonal().real
     expected = np.zeros(16)
     expected[BASIS_INDEX["II"]] = 0.787298334620742
     expected[BASIS_INDEX["XI"]] = 0.1
@@ -204,34 +206,33 @@ def test_exact_backend_diagonal_frozen():
 
 
 def test_sampled_diagonal_sums_to_one():
-    code = build_s1()
-    chan = channel_from_spec(
-        [{"type": "amplitude_damping", "site": 1, "parameter": 0.4}]
-        + [{"type": "depolarizing", "site": s, "parameter": 0.1} for s in (3, 4, 5, 6)],
-        n=6,
-    )
-    op = PreprocessingOp(PreprocessingKind.IDENTITY)
-    hist = run_setting(code, chan, op, shots=50_000, seed=99, backend="sampling")
-    diag = estimate_diagonal(hist, code)
+    # s1 under damping and depolarizing on ancilla sites 3..6
+    config = make_config(scenario="s1_noisy", gamma=0.4, p=0.1, shots=50_000, seed=99)
+    result = characterize(config)
+    hist = result.histograms[0]
+    diag = result.chi.data.diagonal().real
     assert hist.accepted < hist.total  # the filter is actually rejecting
     assert abs(diag.sum() - 1.0) < 1e-12
 
 
-def test_estimate_offdiagonal_reports_missing_settings():
+def test_estimate_offdiagonal_requires_standard_settings_order():
     code = build_s1()
     chan = amplitude_damping(0.4, 1, 6)
-    h_identity = run_setting(code, chan, PreprocessingOp(PreprocessingKind.IDENTITY), 0, 0, "exact")
-    h_unitary = {
-        j: run_setting(code, chan, PreprocessingOp(PreprocessingKind.COHERENCE_UNITARY, j), 0, 0, "exact")
-        for j in range(1, 15)
-    }
-    h_projective = {
-        j: run_setting(code, chan, PreprocessingOp(PreprocessingKind.COHERENCE_PROJECTIVE, j), 0, 0, "exact")
-        for j in range(1, 16)
-    }
-    with pytest.raises(IncompleteDataError) as info:
-        estimate_offdiagonal(h_identity, h_unitary, h_projective, code)
-    assert "UZZ" in str(info.value)
+    hists = tuple(run_setting(code, chan, op, 0, 0, "exact") for op in standard_settings())
+    swapped = hists[:1] + hists[2:3] + hists[1:2] + hists[3:]
+    for bad in (hists[:30], swapped):
+        with pytest.raises(ValueError, match="standard_settings") as info:
+            estimate_offdiagonal(bad, code)
+        assert not isinstance(info.value, IncompleteDataError)
+
+
+@pytest.mark.parametrize("backend, shots", [("exact", 1), ("sampling", 20_000)], ids=["exact", "sampling"])
+@pytest.mark.parametrize("scenario", ["s0_noisy", "s1_noisy"])
+def test_estimate_offdiagonal_matches_loop_reference(scenario, backend, shots):
+    config = make_config(scenario=scenario, backend=backend, shots=shots)
+    result = characterize(config)
+    code, _ = resolve_scenario(config)
+    assert result.chi.data.tobytes() == loop_chi_estimate(result.histograms, code).tobytes()
 
 
 def test_exact_reconstruction_matches_theory():
@@ -249,52 +250,19 @@ def test_pauli_channel_on_probe_gives_diagonal_chi():
     code, _ = resolve_scenario(config)
     chan = channel_from_spec([{"type": "depolarizing", "site": 1, "parameter": 0.3}], n=6)
     rho_e = apply_channel(chan, prepare_probe(code))
-    h_unitary = {}
-    h_projective = {}
-    for op in standard_settings():
-        hist = run_setting(code, chan, op, 0, 0, "exact", rho_after_channel=rho_e)
-        if op.kind is PreprocessingKind.IDENTITY:
-            h_identity = hist
-        elif op.kind is PreprocessingKind.COHERENCE_UNITARY:
-            h_unitary[op.f_index] = hist
-        else:
-            h_projective[op.f_index] = hist
-    chi = estimate_offdiagonal(h_identity, h_unitary, h_projective, code)
-    off = chi.data - np.diag(chi.diagonal)
+    hists = tuple(
+        run_setting(code, chan, op, 0, 0, "exact", rho_after_channel=rho_e)
+        for op in standard_settings()
+    )
+    chi = estimate_offdiagonal(hists, code)
+    diag = chi.data.diagonal().real
+    off = chi.data - np.diag(diag)
     assert np.max(np.abs(off)) < 1e-10
     expected = np.zeros(16)
     expected[BASIS_INDEX["II"]] = 0.7
     for lab in ("XI", "YI", "ZI"):
         expected[BASIS_INDEX[lab]] = 0.1
-    assert np.allclose(chi.diagonal, expected, atol=1e-10)
-
-
-def test_partial_matches_full_on_exact_backend():
-    config = make_config(scenario="s1_noisy", backend="exact", shots=1)
-    full = characterize(config).chi
-    elements = [(0, 0), (3, 3), (0, 3), (1, 2), (7, 11)]
-    partial = partial_characterize(config, elements)
-    for m, n in elements:
-        assert partial[(m, n)] == full.entry(m, n)
-
-
-def test_partial_diagonal_runs_single_setting(monkeypatch):
-    calls = []
-    original = protocol.run_setting
-
-    def counting(*args, **kwargs):
-        op = kwargs.get("op") if "op" in kwargs else args[2]
-        calls.append(op.label)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(protocol, "run_setting", counting)
-    config = make_config(backend="exact", shots=1)
-    out = partial_characterize(config, [(0, 0), (5, 5)])
-    assert calls == ["I"]
-    assert set(out) == {(0, 0), (5, 5)}
-    calls.clear()
-    partial_characterize(config, [(0, 3)])
-    assert sorted(calls) == ["I", "PZI", "UZI"]
+    assert np.allclose(diag, expected, atol=1e-10)
 
 
 def test_sampling_reproducible_and_worker_invariant():
@@ -418,10 +386,10 @@ def test_histogram_bookkeeping():
     config = make_config(shots=10_000, scenario="s0_noisy")
     result = characterize(config)
     assert len(result.histograms) == 31
-    assert set(result.accepted_fraction) == {op.label for op in standard_settings()}
+    assert [h.setting.label for h in result.histograms] == [op.label for op in standard_settings()]
     # the probe code has no detection prefix, so nothing is rejected
-    assert all(abs(v - 1.0) < 1e-12 for v in result.accepted_fraction.values())
-    hist = result.histogram("I")
+    assert all(abs(h.accepted / h.total - 1.0) < 1e-12 for h in result.histograms)
+    hist = result.histograms[0]
     assert hist.total == 10_000
     doc = hist.to_jsonable()
     assert doc["setting"] == "I"
@@ -442,9 +410,9 @@ def test_histogram_json_matches_cell_by_cell_reference(scenario, backend, shots)
 def test_s1_scenario_rejects_some_shots():
     config = make_config(shots=10_000, scenario="s1_noisy")
     result = characterize(config)
-    fractions = result.accepted_fraction
-    assert all(v < 1.0 for v in fractions.values())
-    assert all(v > 0.5 for v in fractions.values())
+    fractions = [h.accepted / h.total for h in result.histograms]
+    assert all(v < 1.0 for v in fractions)
+    assert all(v > 0.5 for v in fractions)
 
 
 def test_resolve_scenario_channels():

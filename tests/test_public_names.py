@@ -40,6 +40,23 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def test_package_root_exports_are_pinned():
+    # growing the root API is a deliberate change: edit this set with it
+    assert set(dcqd.__all__) == {
+        "ExperimentConfig",
+        "ConfigError",
+        "characterize",
+        "channel_fidelity_vs_theory",
+        "failure_rate_experiment",
+        "failure_oracle",
+        "build_s0",
+        "build_s1",
+        "theoretical_chi_ad",
+        "ProcessMatrix",
+        "__version__",
+    }
+
+
 @pytest.fixture
 def bench(monkeypatch):
     """The benchmark's spans and run modules, loaded read-only."""
