@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import theoretical_chi_ad
 from .codes import StabilizerCode, build_s1, syndrome_of_error
-from .pauli import PauliOperator
+from .pauli import PAULI_MATRICES, PauliOperator
 from .process_matrix import ProcessMatrix
 from .rng import sample_counts
 from .states import InvalidStateError
@@ -91,14 +91,6 @@ def _fidelity_core(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(overlap, ord="nuc"))
 
 
-_PAULI_1Q = (
-    np.eye(2, dtype=np.complex128),
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
-
-
 def apply_single_qubit_block(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     """Evaluate the single-qubit-block map sum_mn chi_mn s_m rho s_n^dag.
 
@@ -112,7 +104,7 @@ def apply_single_qubit_block(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     mat = np.asarray(rho, dtype=np.complex128)
     if mat.shape != (2, 2):
         raise ValueError(f"expected a 2x2 input, got {mat.shape}")
-    paulis = np.stack(_PAULI_1Q)
+    paulis = np.stack([PAULI_MATRICES[letter] for letter in "IXYZ"])
     out = np.einsum("mn,mij,jk,nlk->il", block, paulis, mat, paulis.conj())
     return (out + out.conj().T) / 2.0
 

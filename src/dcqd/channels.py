@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .pauli import PauliOperator, support as pauli_support, to_matrix
+from .pauli import PAULI_MATRICES, PauliOperator, to_matrix
 from .process_matrix import BASIS_INDEX, ProcessMatrix
 from .states import ContractViolationError, DensityMatrix
 
@@ -45,7 +45,6 @@ class QuantumChannel:
     perm: np.ndarray
     coef: np.ndarray
     label: str
-    support: frozenset
 
     def __post_init__(self):
         dim = 2 ** self.n
@@ -71,7 +70,6 @@ class QuantumChannel:
         coef.setflags(write=False)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "support", frozenset(self.support))
 
     @property
     def kraus(self) -> np.ndarray:
@@ -107,7 +105,6 @@ def _on_site(factors, site: int, n: int, label: str) -> QuantumChannel:
         perm=(rows & ~(1 << shift)) | (perm[:, bit] << shift),
         coef=coef[:, bit],
         label=label,
-        support=frozenset({site}),
     )
 
 
@@ -129,14 +126,11 @@ def depolarizing(p: float, site: int, n: int) -> QuantumChannel:
     """Uniform Pauli noise: keep with 1-p, else X, Y or Z with p/3 each."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
     kraus = (
-        sqrt(1.0 - p) * np.eye(2, dtype=np.complex128),
-        sqrt(p / 3.0) * x,
-        sqrt(p / 3.0) * y,
-        sqrt(p / 3.0) * z,
+        sqrt(1.0 - p) * PAULI_MATRICES["I"],
+        sqrt(p / 3.0) * PAULI_MATRICES["X"],
+        sqrt(p / 3.0) * PAULI_MATRICES["Y"],
+        sqrt(p / 3.0) * PAULI_MATRICES["Z"],
     )
     return _on_site(kraus, site, n, f"DP(p={p:g}, site={site})")
 
@@ -148,16 +142,13 @@ def identity_channel(n: int) -> QuantumChannel:
         perm=np.arange(dim)[None, :],
         coef=np.ones((1, dim), dtype=np.complex128),
         label="id",
-        support=frozenset(),
     )
 
 
 def pauli_unitary_channel(op: PauliOperator) -> QuantumChannel:
     """Deterministic application of one Pauli, for fault injection."""
     perm, coef = _monomial(to_matrix(op)[None])
-    return QuantumChannel(
-        n=op.n, perm=perm, coef=coef, label=f"unitary({op})", support=pauli_support(op)
-    )
+    return QuantumChannel(n=op.n, perm=perm, coef=coef, label=f"unitary({op})")
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
@@ -172,7 +163,6 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
         perm=perm.reshape(-1, dim),
         coef=coef.reshape(-1, dim),
         label=f"{outer.label}*{inner.label}",
-        support=outer.support | inner.support,
     )
 
 

@@ -45,12 +45,12 @@ from .config import (
     ExperimentConfig,
     SCENARIOS,
     load_config_file,
-    merge_settings,
     settings_hash,
 )
 from .pauli import single_site
 from .process_matrix import BASIS_LABELS
 from .protocol import (
+    _SCENARIO_CODES,
     IncompleteDataError,
     PreprocessingKind,
     PreprocessingOp,
@@ -99,17 +99,21 @@ def _out_dir(args) -> Path:
 
 
 def _build_config(args, keys=tuple(DEFAULTS)) -> ExperimentConfig:
-    """Merge defaults, the --config file and the flags named by ``keys``.
+    """Lay the flags named by ``keys`` over the --config file's values.
 
-    A file key outside ``keys`` would be silently ignored, so it is a
-    configuration error.
+    Defaults fill in the rest.  A file key outside ``keys`` would be
+    silently ignored, and so would a ``p`` for a scenario that draws no
+    ancilla noise, so both are configuration errors.
     """
-    file_values = load_config_file(args.config) if args.config else {}
-    unused = sorted(set(file_values) - set(keys))
+    values = load_config_file(args.config) if args.config else {}
+    unused = sorted(set(values) - set(keys))
     if unused:
         raise ConfigError(f"config keys {unused} do not apply to {args.command}")
-    cli_values = {key: getattr(args, key) for key in keys}
-    return merge_settings(file_values, cli_values)
+    values.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
+    config = ExperimentConfig(**values)
+    if "p" in values and not _SCENARIO_CODES[config.scenario][1]:
+        raise ConfigError(f"scenario {config.scenario} draws no ancilla noise, so p does not apply")
+    return config
 
 
 def cmd_table(args) -> int:
@@ -253,7 +257,7 @@ def _selftest_checks():
         cfg = ExperimentConfig(
             scenario="clean", gamma=0.4, p=0.0, shots=1, seed=1, backend="exact"
         )
-        gap = characterize(cfg).chi.max_abs_diff(theoretical_chi_ad(0.4))
+        gap = chi_distance_report(characterize(cfg).chi, theoretical_chi_ad(0.4)).max_abs
         if gap > 1e-9:
             return f"exact-backend reconstruction off by {gap}"
         return None

@@ -1,4 +1,4 @@
-"""Experiment configuration: validation, merging, canonical hashing."""
+"""Experiment configuration: validation and canonical hashing."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config_file",
-    "merge_settings",
     "settings_hash",
 ]
 
@@ -102,27 +101,4 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    unknown = set(doc) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return doc
-
-
-def merge_settings(file_values: dict | None, cli_values: dict | None) -> ExperimentConfig:
-    """Defaults, overridden by the config file, overridden by CLI flags.
-
-    CLI values equal to None mean "flag not given" and are skipped.
-    """
-    merged = dict(DEFAULTS)
-    if file_values:
-        unknown = set(file_values) - set(DEFAULTS)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    if cli_values:
-        for key, value in cli_values.items():
-            if key not in DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
-            if value is not None:
-                merged[key] = value
-    return ExperimentConfig(**merged)

@@ -33,6 +33,7 @@ __all__ = [
     "DimensionMismatchError",
     "MatrixSizeError",
     "MAX_DENSE_QUBITS",
+    "PAULI_MATRICES",
     "identity",
     "single_site",
     "parse_pauli",
@@ -58,7 +59,7 @@ _SITE_PRODUCT = {
     ("Z", "I"): ("Z", 0), ("Z", "X"): ("Y", 1), ("Z", "Y"): ("X", 3), ("Z", "Z"): ("I", 0),
 }
 
-_MAT = {
+PAULI_MATRICES = {
     "I": np.eye(2, dtype=np.complex128),
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
@@ -117,9 +118,6 @@ class PauliOperator:
     def symplectic(self) -> np.ndarray:
         """Concatenated [x | z] row over GF(2)."""
         return np.array(self.x + self.z, dtype=np.uint8)
-
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return multiply(self, other)
 
     def __str__(self) -> str:
         return format_pauli(self)
@@ -219,5 +217,5 @@ def to_matrix(op: PauliOperator) -> np.ndarray:
     """Dense 2^n x 2^n matrix with site 1 as the most significant factor."""
     if op.n > MAX_DENSE_QUBITS:
         raise MatrixSizeError(f"refusing dense matrix for n={op.n} (limit {MAX_DENSE_QUBITS})")
-    mat = reduce(np.kron, (_MAT[ch] for ch in op.letters))
+    mat = reduce(np.kron, (PAULI_MATRICES[ch] for ch in op.letters))
     return (1j ** op.phase) * mat

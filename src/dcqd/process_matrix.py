@@ -59,6 +59,3 @@ class ProcessMatrix:
             raise ValueError("chi matrix must be Hermitian within 1e-10")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-
-    def max_abs_diff(self, other: "ProcessMatrix") -> float:
-        return float(np.max(np.abs(self.data - other.data)))

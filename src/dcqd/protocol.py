@@ -185,15 +185,6 @@ def _located_matrices_embedded(code: StabilizerCode) -> np.ndarray:
     return mats
 
 
-def preprocessing_unitary(code: StabilizerCode, f_index: int) -> np.ndarray:
-    """U_j = (1 + i F_j)/sqrt(2) on the full register."""
-    if not 1 <= f_index <= 15:
-        raise ValueError(f"basis index must lie in 1..15, got {f_index}")
-    f = _located_matrices_embedded(code)[f_index]
-    dim = f.shape[0]
-    return (np.eye(dim, dtype=np.complex128) + 1j * f) / np.sqrt(2.0)
-
-
 @lru_cache(maxsize=8)
 def syndrome_basis(code: StabilizerCode) -> np.ndarray:
     """Joint eigenbasis of the generators, one row per syndrome integer.
@@ -273,11 +264,11 @@ def setting_distribution(
     state = rho_after_channel.data
     if op.kind is PreprocessingKind.IDENTITY:
         return (0,), _syndrome_probs(state, code)[None, :]
-    if op.kind is PreprocessingKind.COHERENCE_UNITARY:
-        u = preprocessing_unitary(code, op.f_index)
-        return (0,), _syndrome_probs(u @ state @ u.conj().T, code)[None, :]
     f = _located_matrices_embedded(code)[op.f_index]
     eye = np.eye(f.shape[0], dtype=np.complex128)
+    if op.kind is PreprocessingKind.COHERENCE_UNITARY:
+        u = (eye + 1j * f) / np.sqrt(2.0)
+        return (0,), _syndrome_probs(u @ state @ u.conj().T, code)[None, :]
     rows = []
     for sign in (1, -1):
         proj = (eye + sign * f) / 2.0
@@ -374,26 +365,24 @@ def estimate_offdiagonal(hists: tuple, code: StabilizerCode) -> ProcessMatrix:
     return ProcessMatrix((raw + raw.conj().T) / 2.0)
 
 
-def resolve_scenario(config: ExperimentConfig):
-    """Map a scenario name to (code, channel).
+# scenario -> (code, whether each ancilla qubit is depolarized with strength p)
+_SCENARIO_CODES = {
+    "clean": ("s0", False),
+    "s0_noisy": ("s0", True),
+    "s1_noisy": ("s1", True),
+    "s1_clean": ("s1", False),
+}
 
-    clean     four-qubit probe code, damping only
-    s0_noisy  four-qubit probe code, damping plus ancilla depolarizing
-    s1_noisy  six-qubit filter code, damping plus ancilla depolarizing
-    s1_clean  six-qubit filter code, damping only
-    """
-    table = {
-        "clean": ("s0", 0.0),
-        "s0_noisy": ("s0", config.p),
-        "s1_noisy": ("s1", config.p),
-        "s1_clean": ("s1", 0.0),
-    }
-    code_label, p_eff = table[config.scenario]
+
+def resolve_scenario(config: ExperimentConfig):
+    """Map a scenario name to (code, channel): damping on site 1, then
+    depolarizing ``p`` on each ancilla where ``_SCENARIO_CODES`` says so."""
+    code_label, noisy = _SCENARIO_CODES[config.scenario]
     code = build_s0() if code_label == "s0" else build_s1()
     entries = [{"type": "amplitude_damping", "site": 1, "parameter": config.gamma}]
-    if p_eff > 0.0:
+    if noisy and config.p > 0.0:
         for site in sorted(code.ancilla_sites):
-            entries.append({"type": "depolarizing", "site": site, "parameter": p_eff})
+            entries.append({"type": "depolarizing", "site": site, "parameter": config.p})
     return code, channels_mod.channel_from_spec(entries, code.n)
 
 

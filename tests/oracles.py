@@ -45,7 +45,6 @@ from dcqd.process_matrix import BASIS_INDEX, ProcessMatrix, basis_paulis
 from dcqd.protocol import (
     PreprocessingKind,
     PreprocessingOp,
-    preprocessing_unitary,
     syndrome_basis,
 )
 from dcqd.rng import scoped_generator
@@ -223,6 +222,12 @@ def dense_syndrome_probs(matrix: np.ndarray, code: StabilizerCode) -> np.ndarray
     basis = syndrome_basis(code)
     probs = np.einsum("sj,jk,sk->s", basis.conj(), matrix, basis).real
     return np.clip(probs, 0.0, None)
+
+
+def preprocessing_unitary(code: StabilizerCode, f_index: int) -> np.ndarray:
+    """U_j = (1 + i F_j)/sqrt(2) on the full register."""
+    f = to_matrix(located_error_table(code)[f_index][1])
+    return (np.eye(f.shape[0], dtype=np.complex128) + 1j * f) / np.sqrt(2.0)
 
 
 def dense_setting_distribution(rho: DensityMatrix, op: PreprocessingOp, code: StabilizerCode):

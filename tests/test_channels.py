@@ -81,7 +81,6 @@ def test_embedding_acts_only_on_named_site():
     chan = amplitude_damping(0.8, 2, 2)
     rho = apply(chan, basis_state(2, 0b10))  # site 1 excited, site 2 ground
     assert np.allclose(rho.data, np.diag([0.0, 0.0, 1.0, 0.0]), atol=1e-12)
-    assert chan.support == frozenset({2})
 
 
 def kron_embed(k, site, n):
@@ -116,14 +115,14 @@ def test_constructor_rejects_two_nonzeros_in_a_row():
 
 def test_constructor_rejects_non_trace_preserving_sets():
     with pytest.raises(ContractViolationError):
-        QuantumChannel(n=1, perm=[[0, 1]], coef=[[0.9, 0.9]], label="lossy", support={1})
+        QuantumChannel(n=1, perm=[[0, 1]], coef=[[0.9, 0.9]], label="lossy")
     with pytest.raises(ContractViolationError):
         # both rows read column 0: column 1 carries no weight
-        QuantumChannel(n=1, perm=[[0, 0]], coef=[[1.0, 1.0]], label="collapse", support={1})
+        QuantumChannel(n=1, perm=[[0, 0]], coef=[[1.0, 1.0]], label="collapse")
     with pytest.raises(ContractViolationError):
-        QuantumChannel(n=1, perm=[[0, 2]], coef=[[1.0, 1.0]], label="range", support={1})
+        QuantumChannel(n=1, perm=[[0, 2]], coef=[[1.0, 1.0]], label="range")
     with pytest.raises(ContractViolationError):
-        QuantumChannel(n=2, perm=[[0, 1]], coef=[[1.0, 1.0]], label="shape", support={1})
+        QuantumChannel(n=2, perm=[[0, 1]], coef=[[1.0, 1.0]], label="shape")
 
 
 def test_constructor_rejects_two_rows_of_one_operator_reading_one_column():
@@ -131,7 +130,7 @@ def test_constructor_rejects_two_rows_of_one_operator_reading_one_column():
     # but both rows of K1 read column 0, which apply's reader table cannot hold
     r = 1 / np.sqrt(2)
     with pytest.raises(ContractViolationError, match="reading one column"):
-        QuantumChannel(n=1, perm=[[0, 0], [0, 1]], coef=[[r, r], [0, 1]], label="split", support={1})
+        QuantumChannel(n=1, perm=[[0, 0], [0, 1]], coef=[[r, r], [0, 1]], label="split")
 
 
 def test_parameter_validation():
@@ -157,14 +156,13 @@ def test_compose_applies_inner_first():
     assert np.allclose(out2.data, np.diag([1.0, 0.0]), atol=1e-12)
 
 
-def test_channel_from_spec_order_and_support():
+def test_channel_from_spec_order():
     entries = [
         {"type": "amplitude_damping", "site": 1, "parameter": 0.4},
         {"type": "depolarizing", "site": 3, "parameter": 0.1},
         {"type": "depolarizing", "site": 4, "parameter": 0.1},
     ]
     chan = channel_from_spec(entries, n=4)
-    assert chan.support == frozenset({1, 3, 4})
     assert len(chan.kraus) == 2 * 4 * 4
     # listed order matters for non-commuting steps
     seq = channel_from_spec(
@@ -183,7 +181,6 @@ def test_channel_from_spec_order_and_support():
 def test_pauli_unitary_channel_is_exact():
     op = parse_pauli("XZ")
     chan = pauli_unitary_channel(op)
-    assert chan.support == frozenset({1, 2})
     rho = basis_state(2, 0)
     out = apply(chan, rho)
     assert np.allclose(out.data, np.zeros((4, 4)) + np.diag([0, 0, 1, 0]), atol=1e-12)

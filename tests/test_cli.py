@@ -208,19 +208,27 @@ def test_failure_sweep_zero_point(capsys, tmp_path):
 
 
 # sha256 of whole output files for
-# characterize --scenario s1_noisy --backend exact --p 0.1, so that a
+# characterize --scenario <scenario> --backend exact --p 0.1, so that a
 # change to the file format shows as well as a change to the values
 PINNED_EXACT_FILES = {
-    "histograms.json": "e1390ed56592d40c24e2f874289f4d7b84794cbe181b0d46b74511f9790fa4a5",
-    "fidelity.json": "f430cf0511f725b91be72fb0d9cd105de3db7feb5b5238b5973a03de3a965175",
+    "s1_noisy": {
+        "histograms.json": "e1390ed56592d40c24e2f874289f4d7b84794cbe181b0d46b74511f9790fa4a5",
+        "fidelity.json": "f430cf0511f725b91be72fb0d9cd105de3db7feb5b5238b5973a03de3a965175",
+    },
+    "s0_noisy": {
+        "histograms.json": "44cee6a718db924353022c3e3fb87eb7eaf4c023cc75c40272db490082e7758e",
+        "fidelity.json": "bc46c8ca23cb4e4a48c35286613432ff9ff3434bbcdc62b2882bd785db7a9d3d",
+    },
 }
 
 
 def test_exact_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
-    argv = ["characterize", "--scenario", "s1_noisy", "--backend", "exact", "--p", "0.1"]
-    assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == 0
-    for name, digest in PINNED_EXACT_FILES.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    for scenario, files in PINNED_EXACT_FILES.items():
+        out = tmp_path / scenario
+        argv = ["characterize", "--scenario", scenario, "--backend", "exact", "--p", "0.1"]
+        assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
+        for name, digest in files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (scenario, name)
 
 
 # sha256 of the failure_sweep.csv data rows (comment and column header
@@ -315,6 +323,8 @@ def test_failure_sweep_rejects_config_keys_it_does_not_use(capsys, tmp_path):
 
 
 def test_config_file_with_cli_override(capsys, tmp_path):
+    from dcqd.config import DEFAULTS
+
     cfg = tmp_path / "settings.json"
     cfg.write_text(json.dumps({"scenario": "s0_noisy", "shots": 4000, "seed": 9}))
     argv = [
@@ -328,7 +338,40 @@ def test_config_file_with_cli_override(capsys, tmp_path):
     doc = json.loads((tmp_path / "r" / "effective_config.json").read_text())
     assert doc["scenario"] == "s0_noisy"  # from file
     assert doc["shots"] == 2000  # CLI wins
-    assert doc["seed"] == 9
+    assert doc["seed"] == 9  # file beats defaults
+    assert doc["gamma"] == DEFAULTS["gamma"]  # an absent flag leaves the default
+
+
+def test_unknown_config_keys_exit_two(capsys, tmp_path):
+    # sampling runs single-threaded; there is no worker count to set
+    for key, value in (("shotz", 10), ("workers", 4), ("volume", 11)):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = ["characterize", "--config", str(cfg), "--out", str(tmp_path / "r")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert err.startswith("configuration error:") and key in err
+        assert not (tmp_path / "r").exists()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["characterize", "--verbosity", "3", "--out", str(tmp_path / "r")])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("scenario", ["clean", "s1_clean"])
+@pytest.mark.parametrize("via", ["flag", "file"])
+def test_clean_scenarios_reject_p(scenario, via, capsys, tmp_path):
+    # these scenarios draw no ancilla noise, so a given p would be ignored
+    argv = ["characterize", "--backend", "exact", "--out", str(tmp_path / "r")]
+    if via == "flag":
+        argv += ["--scenario", scenario, "--p", "0.3"]
+    else:
+        cfg = tmp_path / "settings.json"
+        cfg.write_text(json.dumps({"scenario": scenario, "p": 0.3}))
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
+    assert not (tmp_path / "r").exists()
 
 
 def test_selftest_passes(capsys):

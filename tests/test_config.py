@@ -1,4 +1,4 @@
-"""Unit tests for configuration validation, merging, and hashing."""
+"""Unit tests for configuration validation, file loading, and hashing."""
 
 import json
 
@@ -11,7 +11,6 @@ from dcqd.config import (
     ExperimentConfig,
     SCENARIOS,
     load_config_file,
-    merge_settings,
 )
 
 
@@ -70,23 +69,6 @@ def test_config_hash_stable_and_sensitive():
     assert c.config_hash() != a.config_hash()
 
 
-def test_merge_precedence():
-    config = merge_settings({"shots": 5000, "seed": 9}, {"shots": 2000, "gamma": None})
-    assert config.shots == 2000  # CLI beats file
-    assert config.seed == 9  # file beats defaults
-    assert config.gamma == DEFAULTS["gamma"]  # None means flag absent
-
-
-def test_merge_rejects_unknown_keys():
-    with pytest.raises(ConfigError):
-        merge_settings({"shotz": 10}, None)
-    with pytest.raises(ConfigError):
-        merge_settings(None, {"verbosity": 3})
-    # sampling runs single-threaded; there is no worker count to set
-    with pytest.raises(ConfigError):
-        merge_settings({"workers": 4}, None)
-
-
 def test_load_config_file(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"scenario": "clean", "shots": 777}))
@@ -99,10 +81,6 @@ def test_load_config_file(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_config_file(arr)
-    extra = tmp_path / "extra.json"
-    extra.write_text(json.dumps({"volume": 11}))
-    with pytest.raises(ConfigError):
-        load_config_file(extra)
 
 
 def test_config_is_immutable():

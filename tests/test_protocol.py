@@ -27,7 +27,6 @@ from dcqd.protocol import (
     characterize,
     estimate_offdiagonal,
     prepare_probe,
-    preprocessing_unitary,
     resolve_scenario,
     run_setting,
     setting_distribution,
@@ -39,6 +38,7 @@ from oracles import (
     dense_syndrome_probs,
     loop_chi_estimate,
     loop_histogram_jsonable,
+    preprocessing_unitary,
     run_shot,
     shot_stream,
 )
@@ -416,14 +416,20 @@ def test_s1_scenario_rejects_some_shots():
 
 
 def test_resolve_scenario_channels():
-    code, chan = resolve_scenario(make_config(scenario="clean"))
-    assert code.label == "s0" and chan.support == frozenset({1})
-    code, chan = resolve_scenario(make_config(scenario="s0_noisy"))
-    assert code.label == "s0" and chan.support == frozenset({1, 3, 4})
-    code, chan = resolve_scenario(make_config(scenario="s1_noisy"))
-    assert code.label == "s1" and chan.support == frozenset({1, 3, 4, 5, 6})
-    code, chan = resolve_scenario(make_config(scenario="s1_clean"))
-    assert code.label == "s1" and chan.support == frozenset({1})
+    # a composed label reads outer*inner, the last step applied first
+    damping = "AD(gamma=0.4, site=1)*id"
+    want = {
+        "clean": ("s0", damping),
+        "s0_noisy": ("s0", "DP(p=0.1, site=4)*DP(p=0.1, site=3)*" + damping),
+        "s1_noisy": (
+            "s1",
+            "DP(p=0.1, site=6)*DP(p=0.1, site=5)*DP(p=0.1, site=4)*DP(p=0.1, site=3)*" + damping,
+        ),
+        "s1_clean": ("s1", damping),
+    }
+    for scenario, (label, channel_label) in want.items():
+        code, chan = resolve_scenario(make_config(scenario=scenario))
+        assert (code.label, chan.label) == (label, channel_label)
     from dcqd.config import ConfigError
 
     with pytest.raises(ConfigError):
