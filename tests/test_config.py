@@ -1,4 +1,4 @@
-"""Unit tests for configuration validation, file loading, and hashing."""
+"""Unit tests for configuration validation, merging, file loading, and hashing."""
 
 import json
 
@@ -67,6 +67,19 @@ def test_config_hash_stable_and_sensitive():
     assert len(a.config_hash()) == 12
     c = ExperimentConfig(seed=4321)
     assert c.config_hash() != a.config_hash()
+
+
+def test_merge_precedence(tmp_path):
+    # the CLI owns merging: flags over the --config file over the defaults
+    from dcqd import cli
+
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"shots": 5000, "seed": 9}))
+    args = cli._parser().parse_args(["characterize", "--config", str(path), "--shots", "2000"])
+    config = cli._build_config(args)
+    assert config.shots == 2000  # CLI beats file
+    assert config.seed == 9  # file beats defaults
+    assert config.gamma == DEFAULTS["gamma"]  # an absent flag leaves the default
 
 
 def test_load_config_file(tmp_path):
