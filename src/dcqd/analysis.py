@@ -166,7 +166,6 @@ class FailureOracle:
     Every other fact is read off that table.
     """
 
-    code_label: str
     tallies: tuple
 
     @property
@@ -178,12 +177,6 @@ class FailureOracle:
         """Exact fraction of weight-w errors that slip past the filter
         (impostor plus stabilizer: any undetected non-identity error)."""
         return tuple(Fraction(s + i, d + s + i) for d, s, i in self.tallies)
-
-    @property
-    def corrupting_coefficients(self) -> tuple:
-        """Exact fraction of weight-w errors that change the accepted
-        record (impostors only)."""
-        return tuple(Fraction(i, d + s + i) for d, s, i in self.tallies)
 
     def analytic_failure_rate(self, p: float) -> float:
         return sum(
@@ -222,7 +215,7 @@ def failure_oracle(code: StabilizerCode | None = None) -> FailureOracle:
     """Classify all 4^a - 1 non-identity ancilla Paulis of ``code``."""
     if code is None:
         code = build_s1()
-    sites = tuple(sorted(code.ancilla_sites))
+    sites = tuple(code.ancilla_sites)
     tallies = [[0, 0, 0] for _ in sites]
     for letters in product("IXYZ", repeat=len(sites)):
         weight = sum(1 for c in letters if c != "I")
@@ -235,7 +228,7 @@ def failure_oracle(code: StabilizerCode | None = None) -> FailureOracle:
             tallies[weight - 1][1] += 1
         else:
             tallies[weight - 1][2] += 1
-    return FailureOracle(code.label, tuple(tuple(row) for row in tallies))
+    return FailureOracle(tuple(tuple(row) for row in tallies))
 
 
 @dataclass(frozen=True)

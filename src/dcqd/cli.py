@@ -50,7 +50,6 @@ from .config import (
 from .pauli import single_site
 from .process_matrix import BASIS_LABELS
 from .protocol import (
-    _SCENARIO_CODES,
     IncompleteDataError,
     PreprocessingKind,
     PreprocessingOp,
@@ -103,15 +102,21 @@ def _build_config(args, keys=tuple(DEFAULTS)) -> ExperimentConfig:
 
     Defaults fill in the rest.  A file key outside ``keys`` would be
     silently ignored, and so would a ``p`` for a scenario that draws no
-    ancilla noise, so both are configuration errors.
+    ancilla noise, so both are configuration errors.  A characterize
+    run's own ``effective_config.json`` replays: its ``config_hash`` must
+    match the file's settings, and its recorded ``p`` is then accepted.
     """
     values = load_config_file(args.config) if args.config else {}
+    recorded = args.command == "characterize" and "config_hash" in values
+    digest = values.pop("config_hash") if recorded else None
     unused = sorted(set(values) - set(keys))
     if unused:
         raise ConfigError(f"config keys {unused} do not apply to {args.command}")
-    values.update({key: getattr(args, key) for key in keys if getattr(args, key) is not None})
-    config = ExperimentConfig(**values)
-    if "p" in values and not _SCENARIO_CODES[config.scenario][1]:
+    if recorded and ExperimentConfig(**values).config_hash() != digest:
+        raise ConfigError(f"config_hash {digest!r} does not match the settings in {args.config}")
+    flags = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+    config = ExperimentConfig(**dict(values, **flags))
+    if ("p" in flags or ("p" in values and not recorded)) and not SCENARIOS[config.scenario][1]:
         raise ConfigError(f"scenario {config.scenario} draws no ancilla noise, so p does not apply")
     return config
 
@@ -374,7 +379,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_char = sub.add_parser("characterize", help="run a full characterization")
     _add_run_flags(p_char)
-    p_char.add_argument("--scenario", choices=SCENARIOS, help="noise scenario to run")
+    p_char.add_argument("--scenario", choices=tuple(SCENARIOS), help="noise scenario to run")
     p_char.add_argument("--gamma", type=float, help="amplitude-damping strength on qubit 1")
     p_char.add_argument("--p", type=float, help="depolarizing strength per ancilla qubit")
     p_char.add_argument("--backend", choices=BACKENDS, help="sampling or exact probabilities")

@@ -54,7 +54,8 @@ class UnsupportedCodeError(ValueError):
 
 @dataclass(frozen=True)
 class StabilizerCode:
-    """Stabilizer code with an explicit principal/ancilla site split.
+    """Stabilizer code whose first ``n_principal`` sites are the principal
+    block and whose remaining sites are the ancilla block.
 
     ``detection_prefix`` counts leading generators whose syndrome bits
     must vanish for a measurement round to be accepted; it is nonzero
@@ -64,8 +65,7 @@ class StabilizerCode:
     label: str
     n: int
     generators: tuple
-    principal_sites: frozenset
-    ancilla_sites: frozenset
+    n_principal: int
     logical_x: tuple = ()
     logical_z: tuple = ()
     detection_prefix: int = 0
@@ -75,8 +75,6 @@ class StabilizerCode:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "logical_x", tuple(self.logical_x))
         object.__setattr__(self, "logical_z", tuple(self.logical_z))
-        object.__setattr__(self, "principal_sites", frozenset(self.principal_sites))
-        object.__setattr__(self, "ancilla_sites", frozenset(self.ancilla_sites))
         for g in gens:
             if g.n != self.n:
                 raise CodeConstructionError(
@@ -93,12 +91,14 @@ class StabilizerCode:
         rows = np.array([g.symplectic() for g in gens], dtype=np.uint8)
         if gens and len(_gf2_eliminate(rows, rows.shape[1])) != len(gens):
             raise CodeConstructionError("generators are not independent over GF(2)")
-        if self.principal_sites | self.ancilla_sites != frozenset(range(1, self.n + 1)):
-            raise CodeConstructionError("principal and ancilla sites must cover 1..n")
-        if self.principal_sites & self.ancilla_sites:
-            raise CodeConstructionError("principal and ancilla sites overlap")
+        if not 0 <= self.n_principal <= self.n:
+            raise CodeConstructionError(f"n_principal={self.n_principal} outside 0..{self.n}")
         if not 0 <= self.detection_prefix <= len(gens):
             raise CodeConstructionError("detection prefix out of range")
+
+    @property
+    def ancilla_sites(self) -> range:
+        return range(self.n_principal + 1, self.n + 1)
 
     @property
     def r(self) -> int:
@@ -149,8 +149,7 @@ def build_s0() -> StabilizerCode:
         label="s0",
         n=4,
         generators=gens,
-        principal_sites=frozenset({1, 2}),
-        ancilla_sites=frozenset({3, 4}),
+        n_principal=2,
     )
 
 
@@ -161,8 +160,7 @@ def build_s422() -> StabilizerCode:
         label="s422",
         n=4,
         generators=gens,
-        principal_sites=frozenset(),
-        ancilla_sites=frozenset({1, 2, 3, 4}),
+        n_principal=0,
         logical_x=(parse_pauli("XXII"), parse_pauli("IXIX")),
         logical_z=(parse_pauli("ZIZI"), parse_pauli("IIZZ")),
     )
@@ -173,8 +171,7 @@ def _map_outer_generator(g: PauliOperator, n_principal: int, inner: StabilizerCo
     inner-code logical operators."""
     principal = parse_pauli(g.letters[:n_principal]) if n_principal else None
     inner_part = identity(inner.n)
-    for ordinal, site in enumerate(range(n_principal + 1, g.n + 1)):
-        letter = g.letter(site)
+    for ordinal, letter in enumerate(g.letters[n_principal:]):
         if letter == "I":
             continue
         if letter == "X":
@@ -200,12 +197,8 @@ def concatenate_ancilla(outer: StabilizerCode, inner: StabilizerCode) -> Stabili
     grouped per principal qubit with the X-type one before the Z-type
     one.
     """
-    n_principal = len(outer.principal_sites)
-    if outer.principal_sites != frozenset(range(1, n_principal + 1)):
-        raise CodeConstructionError("outer principal sites must be a prefix 1..n_p")
+    n_principal = outer.n_principal
     n_outer_anc = len(outer.ancilla_sites)
-    if outer.ancilla_sites != frozenset(range(n_principal + 1, outer.n + 1)):
-        raise CodeConstructionError("outer ancilla sites must follow the principal block")
     if inner.k != n_outer_anc:
         raise CodeConstructionError(
             f"inner code encodes {inner.k} qubits but outer ancilla has {n_outer_anc}"
@@ -213,7 +206,6 @@ def concatenate_ancilla(outer: StabilizerCode, inner: StabilizerCode) -> Stabili
     if len(inner.logical_x) != inner.k or len(inner.logical_z) != inner.k:
         raise CodeConstructionError("inner code must provide all logical operators")
 
-    n_total = n_principal + inner.n
     detectors = tuple(
         tensor(identity(n_principal), g) if n_principal else g for g in inner.generators
     )
@@ -230,10 +222,9 @@ def concatenate_ancilla(outer: StabilizerCode, inner: StabilizerCode) -> Stabili
     ]
     return StabilizerCode(
         label="s1",
-        n=n_total,
+        n=n_principal + inner.n,
         generators=detectors + tuple(mapped),
-        principal_sites=frozenset(range(1, n_principal + 1)),
-        ancilla_sites=frozenset(range(n_principal + 1, n_total + 1)),
+        n_principal=n_principal,
         detection_prefix=len(detectors),
     )
 
@@ -289,8 +280,8 @@ def located_error_table(code: StabilizerCode) -> tuple:
     pairwise distinct for both supported codes, which is what makes the
     principal error identifiable from the measurement record.
     """
-    if code.principal_sites != frozenset({1, 2}):
-        raise UnsupportedCodeError("located errors are defined for principal sites {1, 2}")
+    if code.n_principal != 2:
+        raise UnsupportedCodeError("located errors are defined for two principal sites")
     if code.k != 0:
         raise UnsupportedCodeError("located error table needs a k=0 code")
     rows = []

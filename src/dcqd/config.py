@@ -17,8 +17,13 @@ __all__ = [
     "settings_hash",
 ]
 
-# the noise scenarios a characterization run can resolve
-SCENARIOS = ("clean", "s0_noisy", "s1_noisy", "s1_clean")
+# scenario -> (code, whether each ancilla qubit is depolarized with strength p)
+SCENARIOS = {
+    "clean": ("s0", False),
+    "s0_noisy": ("s0", True),
+    "s1_noisy": ("s1", True),
+    "s1_clean": ("s1", False),
+}
 BACKENDS = ("sampling", "exact")
 
 DEFAULTS = {
@@ -58,8 +63,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
             if integral and not (isinstance(value, numbers.Integral) or float(value).is_integer()):
                 raise ConfigError(f"{name} must be a whole number, got {value!r}")
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        # a JSON list or object is unhashable, so test membership by equality
+        if self.scenario not in tuple(SCENARIOS):
+            raise ConfigError(f"scenario must be one of {tuple(SCENARIOS)}, got {self.scenario!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.p <= 1.0:

@@ -65,6 +65,9 @@ PAULI_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
+# shared by every reader, so a write here would corrupt them all
+for _matrix in PAULI_MATRICES.values():
+    _matrix.setflags(write=False)
 
 
 class PauliParseError(ValueError):
@@ -104,12 +107,6 @@ class PauliOperator:
         object.__setattr__(self, "x", tuple(int(b) for b in self.x))
         object.__setattr__(self, "z", tuple(int(b) for b in self.z))
         object.__setattr__(self, "phase", int(self.phase) % 4)
-
-    def letter(self, site: int) -> str:
-        """Letter at a 1-based site."""
-        if not 1 <= site <= self.n:
-            raise ValueError(f"site {site} out of range 1..{self.n}")
-        return _BITS_LETTER[(self.x[site - 1], self.z[site - 1])]
 
     @property
     def letters(self) -> str:

@@ -44,7 +44,7 @@ from .codes import (
     codeword_state,
     located_error_table,
 )
-from .config import ConfigError, ExperimentConfig
+from .config import SCENARIOS, ConfigError, ExperimentConfig
 from .process_matrix import BASIS_LABELS, BASIS_INDEX, ProcessMatrix, basis_paulis
 from .rng import sample_counts
 from .states import DensityMatrix
@@ -365,23 +365,14 @@ def estimate_offdiagonal(hists: tuple, code: StabilizerCode) -> ProcessMatrix:
     return ProcessMatrix((raw + raw.conj().T) / 2.0)
 
 
-# scenario -> (code, whether each ancilla qubit is depolarized with strength p)
-_SCENARIO_CODES = {
-    "clean": ("s0", False),
-    "s0_noisy": ("s0", True),
-    "s1_noisy": ("s1", True),
-    "s1_clean": ("s1", False),
-}
-
-
 def resolve_scenario(config: ExperimentConfig):
     """Map a scenario name to (code, channel): damping on site 1, then
-    depolarizing ``p`` on each ancilla where ``_SCENARIO_CODES`` says so."""
-    code_label, noisy = _SCENARIO_CODES[config.scenario]
+    depolarizing ``p`` on each ancilla where ``SCENARIOS`` says so."""
+    code_label, noisy = SCENARIOS[config.scenario]
     code = build_s0() if code_label == "s0" else build_s1()
     entries = [{"type": "amplitude_damping", "site": 1, "parameter": config.gamma}]
     if noisy and config.p > 0.0:
-        for site in sorted(code.ancilla_sites):
+        for site in code.ancilla_sites:
             entries.append({"type": "depolarizing", "site": site, "parameter": config.p})
     return code, channels_mod.channel_from_spec(entries, code.n)
 

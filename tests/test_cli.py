@@ -142,9 +142,20 @@ def test_too_few_accepted_shots_exits_one_without_outputs(capsys, tmp_path):
         {"shots": "abc"},
         {"shots": 2.7},
         {"seed": True},
+        {"scenario": ["x"]},
+        {"scenario": {"a": 1}},
         None,
     ],
-    ids=["gamma-str", "gamma-null", "shots-str", "shots-fraction", "seed-bool", "missing-file"],
+    ids=[
+        "gamma-str",
+        "gamma-null",
+        "shots-str",
+        "shots-fraction",
+        "seed-bool",
+        "scenario-list",
+        "scenario-object",
+        "missing-file",
+    ],
 )
 def test_bad_config_file_exits_two(payload, capsys, tmp_path):
     cfg = tmp_path / "settings.json"
@@ -372,6 +383,59 @@ def test_clean_scenarios_reject_p(scenario, via, capsys, tmp_path):
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.filterwarnings("ignore:clamping severely negative")
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--scenario", "s0_noisy", "--shots", "2000", "--seed", "5"],
+        ["--scenario", "clean", "--backend", "exact"],
+    ],
+    ids=["s0_noisy-sampling", "clean-exact"],
+)
+def test_effective_config_replays_byte_for_byte(flags, capsys, tmp_path):
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    assert run_cli(["characterize", *flags, "--out", str(first)], capsys)[0] == 0
+    record = first / "effective_config.json"
+    argv = ["characterize", "--config", str(record), "--out", str(replay)]
+    assert run_cli(argv, capsys)[0] == 0
+    names = sorted(f.name for f in first.iterdir())
+    assert names == sorted(f.name for f in replay.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (replay / name).read_bytes(), name
+
+    doc = json.loads(record.read_text())
+    altered = "0" if doc["config_hash"][0] != "0" else "1"
+    doc["config_hash"] = altered + doc["config_hash"][1:]
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(doc))
+    argv = ["characterize", "--config", str(forged), "--out", str(tmp_path / "r")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("configuration error:")
+    assert not (tmp_path / "r").exists()
+
+
+def test_replayed_clean_record_still_rejects_a_p_flag(capsys, tmp_path):
+    argv = ["characterize", "--scenario", "clean", "--backend", "exact", "--out", str(tmp_path / "first")]
+    assert run_cli(argv, capsys)[0] == 0
+    record = tmp_path / "first" / "effective_config.json"
+    argv = ["characterize", "--config", str(record), "--p", "0.1", "--out", str(tmp_path / "r")]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("configuration error:") and "p does not apply" in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_failure_sweep_record_does_not_replay(capsys, tmp_path):
+    # the sweep records its flags (code, p_values), not config keys
+    argv = ["failure-sweep", "--shots", "2000", "--out", str(tmp_path / "first")]
+    assert run_cli(argv, capsys)[0] == 0
+    record = tmp_path / "first" / "effective_config.json"
+    code, out, err = run_cli(["failure-sweep", "--config", str(record), "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert err.startswith("configuration error:") and "config_hash" in err
 
 
 def test_selftest_passes(capsys):

@@ -30,8 +30,8 @@ def test_s0_generators_frozen():
     code = build_s0()
     assert tuple(str(g) for g in code.generators) == ("XIXI", "IXIX", "ZIZI", "IZIZ")
     assert code.n == 4 and code.r == 4 and code.k == 0
-    assert code.principal_sites == frozenset({1, 2})
-    assert code.ancilla_sites == frozenset({3, 4})
+    assert code.n_principal == 2
+    assert code.ancilla_sites == range(3, 5)
     assert code.detection_prefix == 0
 
 
@@ -51,8 +51,8 @@ def test_s1_generators_frozen():
     code = build_s1()
     assert tuple(str(g) for g in code.generators) == S1_GENERATORS
     assert code.n == 6 and code.r == 6 and code.k == 0
-    assert code.principal_sites == frozenset({1, 2})
-    assert code.ancilla_sites == frozenset({3, 4, 5, 6})
+    assert code.n_principal == 2
+    assert code.ancilla_sites == range(3, 7)
     assert code.detection_prefix == 2
 
 
@@ -70,17 +70,21 @@ def test_generator_validation():
             label="bad",
             n=2,
             generators=(parse_pauli("XI"), parse_pauli("ZI")),
-            principal_sites=frozenset({1}),
-            ancilla_sites=frozenset({2}),
+            n_principal=1,
         )
     with pytest.raises(CodeConstructionError):
         StabilizerCode(
             label="dep",
             n=2,
             generators=(parse_pauli("XX"), parse_pauli("XX")),
-            principal_sites=frozenset({1}),
-            ancilla_sites=frozenset({2}),
+            n_principal=1,
         )
+
+
+@pytest.mark.parametrize("n_principal", [-1, 3])
+def test_principal_block_must_fit_the_register(n_principal):
+    with pytest.raises(CodeConstructionError, match="n_principal"):
+        StabilizerCode(label="bad", n=2, generators=(parse_pauli("XX"),), n_principal=n_principal)
 
 
 def test_dependent_generators_are_rejected():
@@ -90,8 +94,7 @@ def test_dependent_generators_are_rejected():
             label="dep",
             n=4,
             generators=tuple(parse_pauli(s) for s in ("XXXX", "ZZZZ", "YYYY")),
-            principal_sites=frozenset(),
-            ancilla_sites=frozenset({1, 2, 3, 4}),
+            n_principal=0,
         )
 
 

@@ -139,3 +139,23 @@ def test_symplectic_vector_layout():
     op = pl.parse_pauli("XZ")
     vec = op.symplectic()
     assert list(vec) == [1, 0, 0, 1]
+
+
+def test_pauli_matrices_are_read_only():
+    from dcqd.analysis import apply_single_qubit_block
+    from dcqd.channels import depolarizing, theoretical_chi_ad
+
+    rho = np.diag([1.0, 0.0]).astype(np.complex128)
+
+    def readers():
+        channel = depolarizing(0.1, 1, 1)
+        block = apply_single_qubit_block(theoretical_chi_ad(0.4), rho)
+        return pl.to_matrix(pl.parse_pauli("X")), channel.perm, channel.coef, block
+
+    before = readers()
+    for matrix in pl.PAULI_MATRICES.values():
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 0] = 1
+    for old, new in zip(before, readers()):
+        assert np.array_equal(old, new)
+    assert np.array_equal(before[0], [[0, 1], [1, 0]])

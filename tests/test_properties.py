@@ -45,7 +45,7 @@ def oracle_of(build):
 @pytest.mark.filterwarnings("ignore:clamping severely negative")
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(
-    scenario=st.sampled_from(SCENARIOS),
+    scenario=st.sampled_from(tuple(SCENARIOS)),
     shots=st.sampled_from((200, 1000, 5000, 20_000)),
     seed=st.integers(0, 2**31),
 )
@@ -175,7 +175,7 @@ def test_syndrome_is_linear_and_detector_bits_read_the_prefix(build, a, b):
 
 
 @FEW
-@given(scenario=st.sampled_from(SCENARIOS), gamma=strengths, p=strengths)
+@given(scenario=st.sampled_from(tuple(SCENARIOS)), gamma=strengths, p=strengths)
 def test_exact_chi_is_hermitian_with_unit_trace(scenario, gamma, p):
     config = ExperimentConfig(scenario=scenario, gamma=gamma, p=p, shots=1, backend="exact")
     chi = characterize(config).chi.data

@@ -78,14 +78,15 @@ def test_benchmark_trace_targets_resolve(bench):
         assert callable(getattr(namespace, attr)) and callable(wrapper)
 
 
-def traced_calls(bench, workload, size, work) -> dict:
-    """Span name -> call count over one small pass of a benchmark workload."""
+def traced_pass(bench, workload, size, work) -> tuple:
+    """Span name -> call count, and the benchmark's computed counts, over
+    one small pass of a benchmark workload."""
     spans, run = bench
     tracer = spans.Tracer()
     job = run.WORKLOADS[workload](dcqd, size, 5, work)
     with spans.patched(run.trace_targets(dcqd, tracer)):
         job.run_pass()
-    return tracer.call_counts(0)
+    return tracer.call_counts(0), tracer.pass_counts(0)
 
 
 # syndrome_basis is cached, so a warm pass never calls it
@@ -108,12 +109,20 @@ CHARACTERIZE_SPANS = (
 # a few thousand shots leave the s0 estimate visibly noisy
 @pytest.mark.filterwarnings("ignore:clamping severely negative")
 def test_characterize_pass_reaches_every_traced_layer(bench, tmp_path):
-    calls = traced_calls(bench, "characterize-sampled", {"shots": 4000}, tmp_path)
+    shots = 4000
+    calls, counts = traced_pass(bench, "characterize-sampled", {"shots": shots}, tmp_path)
     assert {span: calls[span] for span in CHARACTERIZE_SPANS if not calls[span]} == {}
+    # on_setting reads the backend from run_setting's sixth positional
+    # argument; a moved argument would read every sampled shot as exact
+    assert counts["protocol.shots_drawn"] == 2 * 31 * shots
+    # s0_noisy composes 4 * 4 * 2 Kraus operators, s1_noisy 4^4 * 2
+    assert counts["channels.kraus_ops"] == 544
 
 
 def test_sweep_pass_builds_one_oracle_per_sweep(bench, tmp_path):
-    calls = traced_calls(bench, "failure-sweep", {"shots": 10_000, "grid": (0.1, 0.3)}, tmp_path)
+    shots, grid = 10_000, (0.1, 0.3)
+    calls, counts = traced_pass(bench, "failure-sweep", {"shots": shots, "grid": grid}, tmp_path)
     assert calls["codes.build_s0"] >= 1 and calls["codes.build_s1"] >= 1
     # one sweep per code
     assert calls["analysis.sweep"] == calls["analysis.oracle"] == 2
+    assert counts["analysis.sweep_shots"] == 2 * len(grid) * shots
