@@ -225,11 +225,31 @@ PINNED_EXACT_FILES = {
     "s1_noisy": {
         "histograms.json": "e1390ed56592d40c24e2f874289f4d7b84794cbe181b0d46b74511f9790fa4a5",
         "fidelity.json": "f430cf0511f725b91be72fb0d9cd105de3db7feb5b5238b5973a03de3a965175",
+        "chi_real.csv": "ce9625a4679056e83795c8553d1d3c1ba50e64cb53d9c89d0810f6322d739a82",
+        "chi_imag.csv": "e876772c47e680f1ba93a67c879641a46eb3edc5b3685262d6e85641796688e6",
+        "chi_diff_vs_theory.csv": "9135a41c282e3853af67d5c7c1516902b2b7f1d5bcc00a94e34680a3bba6a725",
+        "effective_config.json": "22337b4ed788d833e7825308f8ba8673ebf4d4fbe7bd5219997829f565f86c1e",
     },
     "s0_noisy": {
         "histograms.json": "44cee6a718db924353022c3e3fb87eb7eaf4c023cc75c40272db490082e7758e",
         "fidelity.json": "bc46c8ca23cb4e4a48c35286613432ff9ff3434bbcdc62b2882bd785db7a9d3d",
+        "chi_real.csv": "6d4f676b91acfc9b24534306a6141993bd9255abb12f3e755e91fa438ed3551b",
+        "chi_imag.csv": "84e0d451dddb0bee4e5f377f1bc536bd2ccaaf3475364fc13387626279d63694",
+        "chi_diff_vs_theory.csv": "bb0d2b9535a6cb664c2a9e021fbaf90f078604fc97e4ee86d7df99608050e32c",
+        "effective_config.json": "1a0247e584d7baef520eb996016d4e1b2d5e2c295ccd5506a7deea8e8c8ce277",
     },
+}
+
+# sha256 of all six files of characterize --scenario s1_noisy --seed 7
+# --shots 200000: the sampled path's headers, indentation and config
+# record, which the settings-only pin in test_protocol.py does not see
+PINNED_SAMPLED_FILES = {
+    "histograms.json": "9b12b6342eac922b2c33eb25886b2761b274ea31e71f5b1485f548f76cff6f36",
+    "fidelity.json": "7cbc68e97d0399dfad7bfe48be501bfb8260379e023c79873bbaa2c37d4c0d8b",
+    "chi_real.csv": "40dcf4cd7f27e1a7c929eaf142a1f1b9271355a8bc9fb58ba4c37a573410c104",
+    "chi_imag.csv": "427a06db7314763918371684ca6b2b18f3a86a78a058453aff179085cd89e3a0",
+    "chi_diff_vs_theory.csv": "86bf3ca17643f5c44b0537968f52f9c7b6cda50cc645e9bbfb76d0450f3ebda5",
+    "effective_config.json": "281dfb6fc94d948b3876eb65707bfbd258071c6b767762913e36f2749179bf59",
 }
 
 
@@ -240,6 +260,14 @@ def test_exact_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
         assert run_cli(argv + ["--out", str(out)], capsys)[0] == 0
         for name, digest in files.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (scenario, name)
+
+
+def test_sampled_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
+    argv = ["characterize", "--scenario", "s1_noisy", "--seed", "7", "--shots", "200000"]
+    assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_SAMPLED_FILES)
+    for name, digest in PINNED_SAMPLED_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # sha256 of the failure_sweep.csv data rows (comment and column header
