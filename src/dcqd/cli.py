@@ -88,6 +88,25 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+# each flat counts dict sits three levels deep in histograms.json
+_COUNTS_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n        ", ": "))
+_COUNTS_MARK = json.dumps("\0")
+
+
+def _histograms_text(payload: dict) -> str:
+    """The bytes of ``_write_json`` for the histograms document.  With
+    ``indent`` set, ``json`` runs its pure-Python encoder, so each flat
+    ``counts`` dict goes through the C encoder instead, its separator
+    carrying the newline and indent, and is spliced in for a marker."""
+    counts = []
+    for doc in payload["settings"]:
+        text = _COUNTS_ENCODER.encode(doc["counts"])
+        counts.append(text if text == "{}" else "{\n        " + text[1:-1] + "\n      }")
+    settings = [dict(doc, counts="\0") for doc in payload["settings"]]
+    pieces = json.dumps(dict(payload, settings=settings), indent=2, sort_keys=True).split(_COUNTS_MARK)
+    return pieces[0] + "".join(map("".join, zip(counts, pieces[1:]))) + "\n"
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     try:
@@ -144,19 +163,15 @@ def cmd_characterize(args) -> int:
     diff = chi_distance_report(result.chi, theoretical_chi_ad(config.gamma))
     header = f"# config={config.config_hash()} seed={config.seed}\n"
 
-    real_lines = [header + "m,n,value"]
-    imag_lines = [header + "m,n,value"]
+    # one "m,n," prefix per entry, row-major; {:.17g} is _real's format
+    cells = [f"{lm},{ln}," for lm in BASIS_LABELS for ln in BASIS_LABELS]
+    chi, d = result.chi.data.ravel(), diff.difference.ravel()
+    real_lines = [header + "m,n,value", *map("{}{:.17g}".format, cells, chi.real.tolist())]
+    imag_lines = [header + "m,n,value", *map("{}{:.17g}".format, cells, chi.imag.tolist())]
     diff_lines = [
-        header + f"# max_abs_diff={_real(diff.max_abs)}\n" + "m,n,real,imag"
+        header + f"# max_abs_diff={_real(diff.max_abs)}\n" + "m,n,real,imag",
+        *map("{}{:.17g},{:.17g}".format, cells, d.real.tolist(), d.imag.tolist()),
     ]
-    for m in range(16):
-        for n in range(16):
-            lm, ln = BASIS_LABELS[m], BASIS_LABELS[n]
-            entry = result.chi.data[m, n]
-            real_lines.append(f"{lm},{ln},{_real(entry.real)}")
-            imag_lines.append(f"{lm},{ln},{_real(entry.imag)}")
-            d = diff.difference[m, n]
-            diff_lines.append(f"{lm},{ln},{_real(d.real)},{_real(d.imag)}")
     (out / "chi_real.csv").write_text("\n".join(real_lines) + "\n")
     (out / "chi_imag.csv").write_text("\n".join(imag_lines) + "\n")
     (out / "chi_diff_vs_theory.csv").write_text("\n".join(diff_lines) + "\n")
@@ -177,14 +192,9 @@ def cmd_characterize(args) -> int:
             "max_abs_diff_vs_theory": diff.max_abs,
         },
     )
-    _write_json(
-        out / "histograms.json",
-        {
-            "config": config.config_hash(),
-            "seed": config.seed,
-            "settings": [h.to_jsonable() for h in result.histograms],
-        },
-    )
+    settings = [h.to_jsonable() for h in result.histograms]
+    payload = {"config": config.config_hash(), "seed": config.seed, "settings": settings}
+    (out / "histograms.json").write_text(_histograms_text(payload))
     _write_json(
         out / "effective_config.json",
         dict(config.to_dict(), config_hash=config.config_hash()),
@@ -239,7 +249,8 @@ def cmd_failure_sweep(args) -> int:
     return 0
 
 
-def _selftest_checks():
+def _selftest_checks(report: list):
+    """(name, check) pairs; a check returns its problem or None, and may add lines to report."""
     def check_table():
         if _table_csv_text() != _golden_table_text():
             return "computed table differs from golden copy"
@@ -327,8 +338,12 @@ def _selftest_checks():
                 chi = characterize(cfg).chi
                 errors.append(chi_distance_report(chi, theory).max_abs)
                 infidelities.append(1.0 - channel_fidelity_vs_theory(chi, 0.4).value)
-            for name, ys in (("max|chi - chi_AD|", errors), ("1 - F", infidelities)):
-                slope = loglog_slope(grid, ys)
+            slopes = {"max|chi - chi_AD|": loglog_slope(grid, errors), "1 - F": loglog_slope(grid, infidelities)}
+            report.append(
+                f"  {scenario}: leading failure weight {w_min}, log-log slopes "
+                + ", ".join(f"{name} {slope:.3f}" for name, slope in slopes.items())
+            )
+            for name, slope in slopes.items():
                 if not abs(slope - w_min) < 0.15:
                     return f"{scenario}: log-log slope of {name} is {slope:.3f}, leading failure weight {w_min}"
         return None
@@ -347,7 +362,8 @@ def _selftest_checks():
 
 def cmd_selftest(args) -> int:
     failures = 0
-    for name, check in _selftest_checks():
+    report = []
+    for name, check in _selftest_checks(report):
         start = time.perf_counter()
         problem = check()
         elapsed = time.perf_counter() - start
@@ -356,6 +372,9 @@ def cmd_selftest(args) -> int:
         else:
             failures += 1
             print(f"FAIL: {name}: {problem}", file=sys.stderr)
+        for line in report:
+            print(line)
+        report.clear()
     return 1 if failures else 0
 
 

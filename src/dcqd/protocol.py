@@ -142,11 +142,10 @@ class SyndromeHistogram:
 
     def to_jsonable(self) -> dict:
         keys = _json_keys(self.outcomes, self.counts.shape[1])
-        flat = self.counts.ravel()
-        cells = np.flatnonzero(flat)
         table = {
             keys[cell]: v if v != int(v) else int(v)
-            for cell, v in zip(cells.tolist(), flat[cells].tolist())
+            for cell, v in enumerate(self.counts.ravel().tolist())
+            if v
         }
         return {
             "setting": self.setting.label,
@@ -216,9 +215,10 @@ def _syndrome_frame(code: StabilizerCode) -> tuple:
     block of every syndrome-basis row.
 
     Each row R_s|codeword> is a Pauli image of the codeword, so every row
-    has the same number m of nonzero entries (4 for s0, 8 for s1).  Row s
-    keeps its m*m terms (j, k) in row-major order: the flat index
-    j*dim + k into the matrix, conj(b_j) and b_k.
+    has the same number m of nonzero entries (4 for s0, 8 for s1).  The
+    plan is term-major, shape (m*m, rows): column s holds row s's terms
+    (j, k) in row-major order, as the flat index j*dim + k into the
+    matrix, conj(b_j) and b_k.
     """
     basis = syndrome_basis(code)
     n_rows, dim = basis.shape
@@ -228,9 +228,10 @@ def _syndrome_frame(code: StabilizerCode) -> tuple:
     index = (cols[:, :, None] * dim + cols[:, None, :]).reshape(n_rows, m * m)
     left = np.repeat(picked.conj(), m, axis=1)
     right = np.tile(picked, (1, m))
-    for arr in (index, left, right):
+    frame = tuple(np.ascontiguousarray(arr.T) for arr in (index, left, right))
+    for arr in frame:
         arr.setflags(write=False)
-    return index, left, right
+    return frame
 
 
 def _syndrome_probs(matrix: np.ndarray, code: StabilizerCode) -> np.ndarray:
@@ -238,18 +239,62 @@ def _syndrome_probs(matrix: np.ndarray, code: StabilizerCode) -> np.ndarray:
 
     Bit for bit the dense sum over all (j, k) in row-major order: that
     sum adds the terms (conj(b_j) M_jk) b_k one after another from zero,
-    and the terms outside the row's block are exact zeros, so the
-    sequential cumsum over the block alone gives the same sums.  They can
-    differ only in the sign of an all-zero sum, and the clip at zero
+    the terms outside the row's block are exact zeros, and the reduction
+    over the frame's leading axis adds them one after another too.  They
+    can differ only in the sign of an all-zero sum, and the clip at zero
     maps -0.0 to the dense sum's +0.0.
     """
     index, left, right = _syndrome_frame(code)
-    terms = (left * matrix.reshape(-1)[index]) * right
-    probs = np.cumsum(terms, axis=1)[:, -1].real
+    probs = np.add.reduce((left * matrix.reshape(-1)[index]) * right, axis=0).real
     low = probs.min()
     if low < -NEGATIVE_PROB_TOL:
         raise ValueError(f"syndrome probability {low} below -1e-9")
     return np.clip(probs, 0.0, None)
+
+
+@lru_cache(maxsize=8)
+def _projective_plan(code: StabilizerCode) -> tuple:
+    """The distinct flat entries (j, k) the syndrome frame reads (rows of
+    one support coset share them) and, per basis index F_j, the flat
+    positions of rho at (j, k), (j, pi k), (pi j, k) and (pi j, pi k),
+    h[j] and h[pi k], where row j of F_j holds 2 h[j] in column pi(j)."""
+    entries = np.unique(_syndrome_frame(code)[0])
+    f = _located_matrices_embedded(code)
+    dim = f.shape[1]
+    pi = np.abs(f).argmax(axis=2)
+    half = np.take_along_axis(f, pi[:, :, None], axis=2)[:, :, 0] / 2.0
+    j, k = np.divmod(entries, dim)
+    pj, pk = pi[:, j], pi[:, k]
+    gather = np.stack(np.broadcast_arrays(j * dim + k, j * dim + pk, pj * dim + k, pj * dim + pk), axis=1)
+    plan = (entries, gather, half[:, j], np.take_along_axis(half, pk, axis=1))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _projective_probs(state: np.ndarray, f_index: int, code: StabilizerCode) -> np.ndarray:
+    """Syndrome rows of (1 +- F) rho (1 +- F)/4, signs + then -, with no
+    dense product.
+
+    Every entry of (1 +- F)/2 is 0, 1, +-1/2 or +-i/2, so each product a
+    dense kernel forms with it is exact (while rho has no subnormal
+    entry), and each entry of the sandwich is the one rounding of a sum
+    of two exact terms, whatever the kernel: M[j, k] = L[j, k]/2 +
+    L[j, pi k] h[pi k] with L[j, k] = rho[j, k]/2 + h[j] rho[pi j, k].
+    The closing + 0.0 gives an all-zero sum the kernel's +0.0.
+    """
+    entries, gather, h_row, h_col = _projective_plan(code)
+    rho = state.reshape(-1)[gather[f_index]]
+    half_rho = 0.5 * rho[:2]
+    h_rho = h_row[f_index] * rho[2:]
+    plus, minus = half_rho + h_rho, half_rho - h_rho
+    h = h_col[f_index]
+    rows = []
+    for values in (0.5 * plus[0] + plus[1] * h + 0.0, 0.5 * minus[0] - minus[1] * h + 0.0):
+        matrix = np.zeros(state.size, dtype=np.complex128)
+        matrix[entries] = values
+        rows.append(_syndrome_probs(matrix, code))
+    return np.stack(rows)
 
 
 def setting_distribution(
@@ -264,16 +309,12 @@ def setting_distribution(
     state = rho_after_channel.data
     if op.kind is PreprocessingKind.IDENTITY:
         return (0,), _syndrome_probs(state, code)[None, :]
+    if op.kind is PreprocessingKind.COHERENCE_PROJECTIVE:
+        return (1, -1), _projective_probs(state, op.f_index, code)
     f = _located_matrices_embedded(code)[op.f_index]
     eye = np.eye(f.shape[0], dtype=np.complex128)
-    if op.kind is PreprocessingKind.COHERENCE_UNITARY:
-        u = (eye + 1j * f) / np.sqrt(2.0)
-        return (0,), _syndrome_probs(u @ state @ u.conj().T, code)[None, :]
-    rows = []
-    for sign in (1, -1):
-        proj = (eye + sign * f) / 2.0
-        rows.append(_syndrome_probs(proj @ state @ proj, code))
-    return (1, -1), np.stack(rows)
+    u = (eye + 1j * f) / np.sqrt(2.0)
+    return (0,), _syndrome_probs(u @ state @ u.conj().T, code)[None, :]
 
 
 def _accepted_mass(counts: np.ndarray, code: StabilizerCode) -> float:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -470,6 +471,12 @@ def test_selftest_passes(capsys):
     code, out, err = run_cli(["selftest"], capsys)
     assert code == 0
     assert "ok" in out
+    # the slope check shows its numbers next to each code's leading weight
+    for scenario, weight in (("s0_noisy", 1), ("s1_noisy", 2)):
+        line = next(l for l in out.splitlines() if l.strip().startswith(f"{scenario}:"))
+        assert f"leading failure weight {weight}," in line
+        slopes = [float(v) for v in re.findall(r"\d+\.\d{3}", line)]
+        assert len(slopes) == 2 and all(abs(s - weight) < 0.15 for s in slopes)
 
 
 def test_module_entry_point():

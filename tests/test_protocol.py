@@ -103,13 +103,13 @@ def test_syndrome_frame_gathers_each_rows_nonzero_block(build, width):
     code = build()
     basis = syndrome_basis(code)
     index, left, right = protocol._syndrome_frame(code)
-    assert index.shape == left.shape == right.shape == (len(basis), width * width)
+    assert index.shape == left.shape == right.shape == (width * width, len(basis))
     for s, row in enumerate(basis):
         terms = np.outer(row.conj(), row).reshape(-1)
         # the gathered terms are exactly the row's nonzero ones, row-major
         assert np.count_nonzero(row) == width
-        assert np.array_equal(np.flatnonzero(terms), index[s])
-        assert np.array_equal(left[s] * right[s], terms[index[s]])
+        assert np.array_equal(np.flatnonzero(terms), index[:, s])
+        assert np.array_equal(left[:, s] * right[:, s], terms[index[:, s]])
     # all-zero sums come out +0.0, as the dense einsum's do
     zero = -np.zeros((len(basis), len(basis)), dtype=np.complex128)
     assert protocol._syndrome_probs(zero, code).tobytes() == dense_syndrome_probs(zero, code).tobytes()
