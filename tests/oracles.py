@@ -12,8 +12,9 @@
 * the cell-by-cell JSON form of a syndrome histogram, which the cached
   key table of :meth:`dcqd.protocol.SyndromeHistogram.to_jsonable` must
   reproduce exactly;
-* the operator-sum evaluation of a process matrix, and the chi
-  estimate by one element at a time, which the array form of
+* the operator-sum evaluation of a process matrix, the chi of a set of
+  two-qubit Kraus operators by projection on the Pauli basis, and the
+  chi estimate by one element at a time, which the array form of
   :func:`dcqd.protocol.estimate_offdiagonal` must reproduce bit for bit;
 * the per-weight classification of ancilla Pauli errors by XOR of
   single-letter syndrome words, which checks the enumeration oracle the
@@ -287,6 +288,14 @@ def apply_process(chi: ProcessMatrix, rho) -> np.ndarray:
         raise ValueError(f"expected a 4x4 input, got {mat.shape}")
     f = basis_matrices()
     return np.einsum("mn,mij,jk,nlk->il", chi.data, f, mat, f.conj())
+
+
+def kraus_chi(kraus) -> np.ndarray:
+    """chi_mn = sum_a c_am conj(c_an) of 4x4 Kraus operators K_a, with
+    c_am = tr(F_m^dag K_a)/4, so that the channel is
+    sum_mn chi_mn F_m rho F_n^dag."""
+    c = np.einsum("mji,aji->am", basis_matrices().conj(), np.asarray(kraus)) / 4.0
+    return c.T @ c.conj()
 
 
 def loop_chi_estimate(hists, code: StabilizerCode) -> np.ndarray:

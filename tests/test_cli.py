@@ -254,6 +254,46 @@ PINNED_SAMPLED_FILES = {
 }
 
 
+# settings entries the histograms.json writer must encode exactly as
+# json.dumps(indent=2, sort_keys=True) does
+WRITER_CASES = {
+    "empty counts": [{"setting": "I", "total": 0, "accepted": 0, "counts": {}}],
+    "float probabilities": [
+        {
+            "setting": "PXY",
+            "total": 1,
+            "accepted": 0.9876543210987654,
+            "counts": {"-1|0001": 1 / 3, "+1|0000": 0.1, "+1|1111": 5e-324, "-1|0000": 1e300},
+        }
+    ],
+    "integral floats": [{"setting": "UZI", "total": 2.0, "accepted": 1e16, "counts": {"01": 3.0, "00": -0.0}}],
+    "count above 2^53": [
+        {"setting": "I", "total": 2**60, "accepted": 2**53 + 1, "counts": {"10": 2**53 + 1, "01": 2**60 - 1}}
+    ],
+}
+
+
+@pytest.mark.parametrize("case", [*WRITER_CASES, "all in one document"])
+def test_histograms_writer_matches_indented_json_dumps(case):
+    settings = WRITER_CASES.get(case) or [doc for docs in WRITER_CASES.values() for doc in docs]
+    payload = {"config": "0123abcd", "seed": 7, "settings": settings}
+    assert cli._histograms_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_histograms_writer_matches_on_histogram_documents():
+    from dcqd.protocol import PreprocessingKind, PreprocessingOp, SyndromeHistogram
+
+    projective = PreprocessingOp(PreprocessingKind.COHERENCE_PROJECTIVE, 5)
+    hists = [
+        SyndromeHistogram(PreprocessingOp(PreprocessingKind.IDENTITY), (0,), [[0.0] * 4], 0.0, 0.0),
+        SyndromeHistogram(projective, (1, -1), [[2.0**60, 0.0, 3.0, 0.25], [0.0, 1e-17, 0.0, 7.0]], 2.0**60, 10.25),
+    ]
+    payload = {"config": "0123abcd", "seed": 0, "settings": [h.to_jsonable() for h in hists]}
+    assert payload["settings"][0]["counts"] == {}
+    assert payload["settings"][1]["counts"]["+1|00"] == 2**60
+    assert cli._histograms_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_exact_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
     for scenario, files in PINNED_EXACT_FILES.items():
         out = tmp_path / scenario

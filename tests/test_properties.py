@@ -11,21 +11,37 @@ from dcqd.analysis import (
     channel_fidelity_vs_theory,
     failure_oracle,
 )
-from dcqd.channels import apply, channel_from_spec, compose, pauli_unitary_channel
+from dcqd.channels import (
+    QuantumChannel,
+    amplitude_damping,
+    apply,
+    channel_from_spec,
+    compose,
+    depolarizing,
+    pauli_unitary_channel,
+)
 from dcqd.codes import build_s0, build_s1, syndrome_of_error
 from dcqd.config import SCENARIOS, ExperimentConfig
 from dcqd.pauli import commutes, multiply, parse_pauli
 from dcqd.protocol import (
     _syndrome_probs,
     characterize,
+    estimate_offdiagonal,
     prepare_probe,
     resolve_scenario,
+    run_setting,
     setting_distribution,
     standard_settings,
 )
 from dcqd.rng import sample_counts
 from dcqd.states import DensityMatrix
-from oracles import apply_channel, dense_kraus, dense_setting_distribution, dense_syndrome_probs
+from oracles import (
+    apply_channel,
+    dense_kraus,
+    dense_setting_distribution,
+    dense_syndrome_probs,
+    kraus_chi,
+)
 
 # few, fixed examples: each one runs real characterizations
 FEW = settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -159,6 +175,56 @@ def test_syndrome_probs_match_dense_einsum_on_random_states(build, seed):
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     assert _syndrome_probs(rho, code).tobytes() == dense_syndrome_probs(rho, code).tobytes()
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(build=st.sampled_from((build_s0, build_s1)), seed=st.integers(0, 2**32 - 1))
+def test_projective_settings_match_dense_products_on_random_states(build, seed):
+    # the index arithmetic of the P settings against the dense sandwich
+    # (1 +- F) rho (1 +- F)/4, on states with no codeword structure
+    code = build()
+    rho = full_rank_state(np.random.default_rng(seed), code.n)
+    for op in standard_settings()[16:]:
+        outcomes, probs = setting_distribution(rho, op, code)
+        want_outcomes, want = dense_setting_distribution(rho, op, code)
+        assert outcomes == want_outcomes == (1, -1)
+        assert probs.tobytes() == want.tobytes(), op.label
+
+
+def clean_two_qubit_channel(n, gammas, phases, p):
+    """Damping on both principal qubits, a diagonal two-qubit phase gate,
+    CNOT 1 -> 2, then depolarizing on qubit 2: every chi entry can be
+    nonzero, and no ancilla is touched."""
+    rows = np.arange(2 ** n)
+    top = rows >> (n - 2)
+    phase = QuantumChannel(n, rows[None, :], np.exp(1j * np.asarray(phases))[top][None, :], "phase")
+    cnot = QuantumChannel(n, (rows ^ ((top >> 1) << (n - 2)))[None, :], np.ones((1, 2 ** n)), "cnot")
+    channel = compose(amplitude_damping(gammas[1], 2, n), amplitude_damping(gammas[0], 1, n))
+    for step in (phase, cnot, depolarizing(p, 2, n)):
+        channel = compose(step, channel)
+    return channel
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    build=st.sampled_from((build_s0, build_s1)),
+    gammas=st.tuples(strengths, strengths),
+    phases=st.lists(st.floats(-np.pi, np.pi), min_size=4, max_size=4),
+    p=strengths,
+)
+def test_exact_chi_of_a_clean_two_qubit_channel_is_its_kraus_projection(build, gammas, phases, p):
+    # every chi entry against truth from outside the estimator, not just
+    # the {II, XI, YI, ZI} corner a channel on qubit 1 fills; the exact
+    # backend only rounds, so 1e-12 leaves room for about 1e4 ulps
+    code = build()
+    channel = clean_two_qubit_channel(code.n, gammas, phases, p)
+    rho = apply(channel, prepare_probe(code))
+    hists = tuple(run_setting(code, channel, op, 1, 0, "exact", rho) for op in standard_settings())
+    chi = estimate_offdiagonal(hists, code).data
+    # each Kraus operator is k_a (x) identity: read k_a off the ancilla-zero block
+    stride = 2 ** (code.n - 2)
+    kraus = dense_kraus(channel)[:, ::stride, ::stride]
+    assert np.max(np.abs(chi - kraus_chi(kraus))) < 1e-12
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

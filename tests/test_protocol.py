@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,62 @@ def test_syndrome_frame_gathers_each_rows_nonzero_block(build, width):
     # all-zero sums come out +0.0, as the dense einsum's do
     zero = -np.zeros((len(basis), len(basis)), dtype=np.complex128)
     assert protocol._syndrome_probs(zero, code).tobytes() == dense_syndrome_probs(zero, code).tobytes()
+
+
+def test_syndrome_sums_add_each_rows_terms_one_after_another():
+    code = build_s1()
+    rng = np.random.default_rng(5)
+    dim = 2 ** code.n
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    matrix = a @ a.conj().T
+    index, left, right = protocol._syndrome_frame(code)
+    # row 3's block (and so every row of its support coset) all -0.0
+    matrix.reshape(-1)[index[:, 3]] = complex(-0.0, -0.0)
+    terms = (left * matrix.reshape(-1)[index]) * right
+    want = []
+    for column in terms.T.tolist():
+        total = 0j
+        for term in column:
+            total = total + term
+        want.append(total.real)
+    want = np.array(want)
+    got = protocol._syndrome_probs(matrix, code)
+    zero = want == 0.0
+    assert zero[3] and got[zero].tobytes() == np.zeros(np.count_nonzero(zero)).tobytes()
+    assert got[~zero].tobytes() == want[~zero].tobytes()
+
+
+# I and P settings of s1_noisy: setting_distribution against the dense
+# products of tests/oracles.py, in a child process on one BLAS kernel
+DENSE_COMPARISON = """
+from dcqd.channels import apply
+from dcqd.config import ExperimentConfig
+from dcqd.protocol import prepare_probe, resolve_scenario, setting_distribution, standard_settings
+from oracles import dense_setting_distribution
+code, channel = resolve_scenario(ExperimentConfig(scenario="s1_noisy", gamma=0.4, p=0.1))
+rho = apply(channel, prepare_probe(code))
+ops = standard_settings()
+print([
+    op.label for op in (ops[0],) + ops[16:]
+    if setting_distribution(rho, op, code)[1].tobytes()
+    != dense_setting_distribution(rho, op, code)[1].tobytes()
+])
+"""
+
+
+def test_projective_settings_match_a_kernel_without_fma_bit_for_bit():
+    # OPENBLAS_CORETYPE=Prescott picks an SSE3 kernel, which has no FMA
+    # and rounds the U settings' dense products differently from AVX-512
+    # kernels; the I and P settings make no BLAS call and still agree
+    # with that kernel's dense products to the bit
+    src = Path(protocol.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=f"{src}{os.pathsep}{tests}")
+    proc = subprocess.run(
+        [sys.executable, "-c", DENSE_COMPARISON], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_setting_distributions_sum_to_one():
