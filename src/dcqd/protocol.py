@@ -258,7 +258,7 @@ def _projective_plan(code: StabilizerCode) -> tuple:
     one support coset share them) and, per basis index F_j, the flat
     positions of rho at (j, k), (j, pi k), (pi j, k) and (pi j, pi k),
     h[j] and h[pi k], where row j of F_j holds 2 h[j] in column pi(j)."""
-    entries = np.unique(_syndrome_frame(code)[0])
+    entries = np.flatnonzero(np.bincount(_syndrome_frame(code)[0].ravel()))
     f = _located_matrices_embedded(code)
     dim = f.shape[1]
     pi = np.abs(f).argmax(axis=2)
