@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliOperator, to_matrix
+from .pauli import PAULI_MATRICES, PauliOperator, monomial
 from .process_matrix import BASIS_INDEX, ProcessMatrix
 from .states import ContractViolationError, DensityMatrix
 
@@ -147,7 +147,7 @@ def identity_channel(n: int) -> QuantumChannel:
 
 def pauli_unitary_channel(op: PauliOperator) -> QuantumChannel:
     """Deterministic application of one Pauli, for fault injection."""
-    perm, coef = _monomial(to_matrix(op)[None])
+    perm, coef = (arr[None] for arr in monomial(op))
     return QuantumChannel(n=op.n, perm=perm, coef=coef, label=f"unitary({op})")
 
 

@@ -325,11 +325,12 @@ def _selftest_checks(report: list):
         return None
 
     def check_chi_slope():
-        # exact chi error and infidelity scale as p^w_min, w_min the
-        # leading weight of the oracle's failure polynomial
+        # exact chi error and infidelity scale as p^w, w the paper's
+        # leading failure weight, which the oracle's failure polynomial
+        # must show too: a code that lost its detectors scales as p
         grid = (0.005, 0.01, 0.02, 0.05, 0.1)
         theory = theoretical_chi_ad(0.4)
-        for scenario, build in (("s0_noisy", build_s0), ("s1_noisy", build_s1)):
+        for scenario, build, weight in (("s0_noisy", build_s0, 1), ("s1_noisy", build_s1, 2)):
             coefficients = failure_oracle(build()).failure_coefficients
             w_min = next(w + 1 for w, c in enumerate(coefficients) if c)
             errors, infidelities = [], []
@@ -343,9 +344,11 @@ def _selftest_checks(report: list):
                 f"  {scenario}: leading failure weight {w_min}, log-log slopes "
                 + ", ".join(f"{name} {slope:.3f}" for name, slope in slopes.items())
             )
+            if w_min != weight:
+                return f"{scenario}: leading failure weight {w_min}, the paper's is {weight}"
             for name, slope in slopes.items():
-                if not abs(slope - w_min) < 0.15:
-                    return f"{scenario}: log-log slope of {name} is {slope:.3f}, leading failure weight {w_min}"
+                if not abs(slope - weight) < 0.15:
+                    return f"{scenario}: log-log slope of {name} is {slope:.3f}, leading failure weight {weight}"
         return None
 
     return [

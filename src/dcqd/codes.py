@@ -37,10 +37,10 @@ __all__ = [
     "build_s422",
     "build_s1",
     "concatenate_ancilla",
+    "syndrome_basis",
     "codeword_state",
     "syndrome_of_error",
     "located_error_table",
-    "destabilizers",
 ]
 
 
@@ -129,17 +129,6 @@ def _gf2_eliminate(m: np.ndarray, cols: int) -> list:
                 m[r] ^= m[rank]
         pivots.append(col)
     return pivots
-
-
-def _gf2_solve(mat: np.ndarray, rhs: np.ndarray):
-    """One solution of mat @ v = rhs over GF(2), or None."""
-    m = np.concatenate([mat, rhs.reshape(-1, 1)], axis=1).astype(np.uint8)
-    pivots = _gf2_eliminate(m, mat.shape[1])
-    if m[len(pivots) :, -1].any():
-        return None
-    v = np.zeros(mat.shape[1], dtype=np.uint8)
-    v[pivots] = m[: len(pivots), -1]
-    return v
 
 
 def build_s0() -> StabilizerCode:
@@ -237,27 +226,38 @@ def build_s1() -> StabilizerCode:
 
 
 @lru_cache(maxsize=8)
-def codeword_state(code: StabilizerCode) -> np.ndarray:
-    """State vector of the unique codeword of a k=0 code, read-only.
+def syndrome_basis(code: StabilizerCode) -> np.ndarray:
+    """Joint eigenbasis of the generators of a k=0 code, read-only.
 
-    Built from the stabilizer projector prod_i (1 + g_i)/2, normalized so
-    the first nonvanishing amplitude is real positive.
+    Row s is the heaviest column of the rank-one prod_j (1 +- g_j)/2,
+    minus where generator j's bit of s is set, normalized so its first
+    nonvanishing amplitude is real positive.  Each factor acts in monomial
+    form on exact dyadic entries; + 0.0 gives zeros a dense product's +0.0.
     """
     if code.k != 0:
         raise UnsupportedCodeError(f"code {code.label} has k={code.k}, no unique codeword")
-    dim = 2 ** code.n
-    proj = np.eye(dim, dtype=np.complex128)
-    for g in code.generators:
-        proj = proj @ (np.eye(dim) + pauli.to_matrix(g)) / 2.0
-    col = int(np.argmax(np.linalg.norm(proj, axis=0)))
-    v = proj[:, col]
-    v = v / np.linalg.norm(v)
-    for amp in v:
-        if abs(amp) > 1e-8:
-            v = v * (abs(amp) / amp)
-            break
-    v.setflags(write=False)
-    return v
+    monomials = [pauli.monomial(g) for g in code.generators]
+
+    def heaviest_columns(proj, level):
+        if level == code.r:
+            return [proj[:, np.argmax(np.linalg.norm(proj, axis=0))]]
+        perm, coef = monomials[level]
+        image = proj[:, perm] * coef[perm]
+        branches = (proj + image, proj - image)
+        return [col for p in branches for col in heaviest_columns(p / 2.0 + 0.0, level + 1)]
+
+    basis = np.stack(heaviest_columns(np.eye(2 ** code.n, dtype=np.complex128), 0))
+    basis = basis / np.linalg.norm(basis, axis=1, keepdims=True)
+    amp = basis[np.arange(len(basis)), np.argmax(np.abs(basis) > 1e-8, axis=1)]
+    basis = basis * (np.abs(amp) / amp)[:, None]
+    basis.setflags(write=False)
+    return basis
+
+
+@lru_cache(maxsize=8)
+def codeword_state(code: StabilizerCode) -> np.ndarray:
+    """The unique codeword of a k=0 code: row 0 of :func:`syndrome_basis`."""
+    return syndrome_basis(code)[0]
 
 
 def syndrome_of_error(code: StabilizerCode, error: PauliOperator) -> int:
@@ -291,22 +291,3 @@ def located_error_table(code: StabilizerCode) -> tuple:
     if len({syn for _, _, syn in rows}) != len(rows):
         raise CodeConstructionError("located syndromes are not pairwise distinct")
     return tuple(rows)
-
-
-def destabilizers(code: StabilizerCode):
-    """Paulis D_j that flip exactly syndrome bit j, found by solving the
-    symplectic linear system over GF(2)."""
-    rows = np.array(
-        [np.concatenate([np.array(g.z, np.uint8), np.array(g.x, np.uint8)]) for g in code.generators],
-        dtype=np.uint8,
-    )
-    out = []
-    for j in range(code.r):
-        rhs = np.zeros(code.r, dtype=np.uint8)
-        rhs[j] = 1
-        v = _gf2_solve(rows, rhs)
-        if v is None:
-            raise CodeConstructionError(f"no operator flips only syndrome bit {j}")
-        op = PauliOperator(code.n, tuple(v[: code.n]), tuple(v[code.n :]), 0)
-        out.append(op)
-    return tuple(out)

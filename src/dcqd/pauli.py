@@ -31,8 +31,6 @@ __all__ = [
     "PauliOperator",
     "PauliParseError",
     "DimensionMismatchError",
-    "MatrixSizeError",
-    "MAX_DENSE_QUBITS",
     "PAULI_MATRICES",
     "identity",
     "single_site",
@@ -42,10 +40,8 @@ __all__ = [
     "commutes",
     "tensor",
     "support",
-    "to_matrix",
+    "monomial",
 ]
-
-MAX_DENSE_QUBITS = 8
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
@@ -79,10 +75,6 @@ class PauliParseError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    pass
-
-
-class MatrixSizeError(ValueError):
     pass
 
 
@@ -210,9 +202,10 @@ def support(a: PauliOperator) -> frozenset:
     return frozenset(q + 1 for q in range(a.n) if a.x[q] or a.z[q])
 
 
-def to_matrix(op: PauliOperator) -> np.ndarray:
-    """Dense 2^n x 2^n matrix with site 1 as the most significant factor."""
-    if op.n > MAX_DENSE_QUBITS:
-        raise MatrixSizeError(f"refusing dense matrix for n={op.n} (limit {MAX_DENSE_QUBITS})")
-    mat = reduce(np.kron, (PAULI_MATRICES[ch] for ch in op.letters))
-    return (1j ** op.phase) * mat
+def monomial(op: PauliOperator) -> tuple:
+    """(perm, coef) with op[i, perm[i]] = coef[i] the one nonzero entry of
+    row i, site 1 the most significant factor; coef multiplies the
+    letters' entries in the order a dense Kronecker product does."""
+    x_mask = int("".join(map(str, op.x)), 2)
+    rows = (PAULI_MATRICES[ch][[0, 1], [xb, 1 - xb]] for ch, xb in zip(op.letters, op.x))
+    return np.arange(2 ** op.n) ^ x_mask, (1j ** op.phase) * reduce(np.kron, rows)

@@ -40,9 +40,9 @@ from .codes import (
     StabilizerCode,
     build_s0,
     build_s1,
-    destabilizers,
     codeword_state,
     located_error_table,
+    syndrome_basis,
 )
 from .config import SCENARIOS, ConfigError, ExperimentConfig
 from .process_matrix import BASIS_LABELS, BASIS_INDEX, ProcessMatrix, basis_paulis
@@ -178,35 +178,14 @@ def prepare_probe(code: StabilizerCode) -> DensityMatrix:
 
 
 @lru_cache(maxsize=8)
-def _located_matrices_embedded(code: StabilizerCode) -> np.ndarray:
-    mats = np.stack([pauli.to_matrix(op) for _, op, _ in located_error_table(code)])
-    mats.setflags(write=False)
-    return mats
-
-
-@lru_cache(maxsize=8)
-def syndrome_basis(code: StabilizerCode) -> np.ndarray:
-    """Joint eigenbasis of the generators, one row per syndrome integer.
-
-    Row s is a representative-error image R_s |codeword>, where R_s is
-    the product of destabilizers for the set bits of s.  For k=0 codes
-    every syndrome space is one-dimensional, so these rows form a
-    complete orthonormal basis and outcome probabilities are plain
-    quadratic forms against them.
-    """
-    psi = codeword_state(code)
-    dvec = [d.symplectic() for d in destabilizers(code)]
-    rows = []
-    for s in range(2 ** code.r):
-        v = np.zeros(2 * code.n, dtype=np.uint8)
-        for j in range(code.r):
-            if (s >> (code.r - 1 - j)) & 1:
-                v ^= dvec[j]
-        rep = pauli.PauliOperator(code.n, tuple(v[: code.n]), tuple(v[code.n :]), 0)
-        rows.append(pauli.to_matrix(rep) @ psi)
-    basis = np.stack(rows)
-    basis.setflags(write=False)
-    return basis
+def _located_monomials(code: StabilizerCode) -> tuple:
+    """Stacks perm and coef of the sixteen located operators in basis
+    order: F_j[i, perm[j, i]] = coef[j, i]."""
+    pairs = [pauli.monomial(op) for _, op, _ in located_error_table(code)]
+    stacks = tuple(np.stack(arrs) for arrs in zip(*pairs))
+    for arr in stacks:
+        arr.setflags(write=False)
+    return stacks
 
 
 @lru_cache(maxsize=8)
@@ -214,11 +193,11 @@ def _syndrome_frame(code: StabilizerCode) -> tuple:
     """Gather plan of the quadratic forms <b_s| M |b_s> over the nonzero
     block of every syndrome-basis row.
 
-    Each row R_s|codeword> is a Pauli image of the codeword, so every row
-    has the same number m of nonzero entries (4 for s0, 8 for s1).  The
-    plan is term-major, shape (m*m, rows): column s holds row s's terms
-    (j, k) in row-major order, as the flat index j*dim + k into the
-    matrix, conj(b_j) and b_k.
+    Each row is a Pauli image of the codeword up to a unit factor, so
+    every row has the same number m of nonzero entries (4 for s0, 8 for
+    s1).  The plan is term-major, shape (m*m, rows): column s holds row
+    s's terms (j, k) in row-major order, as the flat index j*dim + k
+    into the matrix, conj(b_j) and b_k.
     """
     basis = syndrome_basis(code)
     n_rows, dim = basis.shape
@@ -259,10 +238,9 @@ def _projective_plan(code: StabilizerCode) -> tuple:
     positions of rho at (j, k), (j, pi k), (pi j, k) and (pi j, pi k),
     h[j] and h[pi k], where row j of F_j holds 2 h[j] in column pi(j)."""
     entries = np.flatnonzero(np.bincount(_syndrome_frame(code)[0].ravel()))
-    f = _located_matrices_embedded(code)
-    dim = f.shape[1]
-    pi = np.abs(f).argmax(axis=2)
-    half = np.take_along_axis(f, pi[:, :, None], axis=2)[:, :, 0] / 2.0
+    pi, coef = _located_monomials(code)
+    dim = pi.shape[1]
+    half = coef / 2.0
     j, k = np.divmod(entries, dim)
     pj, pk = pi[:, j], pi[:, k]
     gather = np.stack(np.broadcast_arrays(j * dim + k, j * dim + pk, pj * dim + k, pj * dim + pk), axis=1)
@@ -311,9 +289,11 @@ def setting_distribution(
         return (0,), _syndrome_probs(state, code)[None, :]
     if op.kind is PreprocessingKind.COHERENCE_PROJECTIVE:
         return (1, -1), _projective_probs(state, op.f_index, code)
-    f = _located_matrices_embedded(code)[op.f_index]
-    eye = np.eye(f.shape[0], dtype=np.complex128)
-    u = (eye + 1j * f) / np.sqrt(2.0)
+    # (1 + i F)/sqrt(2); entries off F's pattern keep the identity's +0.0
+    perm, coef = (arr[op.f_index] for arr in _located_monomials(code))
+    u = np.eye(len(perm), dtype=np.complex128)
+    u[np.arange(len(perm)), perm] += 1j * coef
+    u /= np.sqrt(2.0)
     return (0,), _syndrome_probs(u @ state @ u.conj().T, code)[None, :]
 
 

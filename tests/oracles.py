@@ -3,6 +3,8 @@
 * a shot-by-shot simulator that collapses the state one generator at a
   time, which must agree in law with the syndrome-basis distributions of
   :mod:`dcqd.protocol`;
+* the dense matrix of a Pauli operator, which the monomial form of
+  :func:`dcqd.pauli.monomial` must reproduce bit for bit;
 * small dense-state helpers (basis states, unitaries, measurement,
   expectation values, partial trace, state fidelity);
 * the dense Kraus matrices of a channel and the dense sum of K rho K^dag;
@@ -26,7 +28,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from math import comb
 
@@ -41,13 +43,9 @@ from dcqd.codes import (
     located_error_table,
     syndrome_of_error,
 )
-from dcqd.pauli import PauliOperator, single_site, to_matrix
+from dcqd.pauli import PAULI_MATRICES, PauliOperator, single_site
 from dcqd.process_matrix import BASIS_INDEX, ProcessMatrix, basis_paulis
-from dcqd.protocol import (
-    PreprocessingKind,
-    PreprocessingOp,
-    syndrome_basis,
-)
+from dcqd.protocol import PreprocessingKind, PreprocessingOp, syndrome_basis
 from dcqd.rng import scoped_generator
 from dcqd.states import ContractViolationError, DensityMatrix
 
@@ -58,8 +56,26 @@ IMAG_RESIDUE_TOL = 1e-10
 IMPOSSIBLE_BRANCH_TOL = 1e-12
 
 
+MAX_DENSE_QUBITS = 8
+
+
 class ImpossibleOutcomeError(RuntimeError):
     """A measurement branch with (numerically) zero probability was selected."""
+
+
+class MatrixSizeError(ValueError):
+    pass
+
+
+# ---------------------------------------------------------------- dense Paulis
+
+
+def to_matrix(op: PauliOperator) -> np.ndarray:
+    """Dense 2^n x 2^n matrix with site 1 as the most significant factor."""
+    if op.n > MAX_DENSE_QUBITS:
+        raise MatrixSizeError(f"refusing dense matrix for n={op.n} (limit {MAX_DENSE_QUBITS})")
+    mat = reduce(np.kron, (PAULI_MATRICES[ch] for ch in op.letters))
+    return (1j ** op.phase) * mat
 
 
 # ---------------------------------------------------------------- states
@@ -434,7 +450,7 @@ def qec_condition_matrix(code: StabilizerCode, errors=None) -> np.ndarray:
     if errors is None:
         errors = [op for _, op, _ in located_error_table(code)]
     psi = codeword_state(code)
-    images = np.stack([pauli.to_matrix(e) @ psi for e in errors])
+    images = np.stack([to_matrix(e) @ psi for e in errors])
     return images.conj() @ images.T
 
 

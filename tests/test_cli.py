@@ -1,12 +1,14 @@
 """End-to-end tests of the command line entry points."""
 
+import dataclasses
 import hashlib
 import json
 import re
 
 import pytest
 
-from dcqd import cli
+from dcqd import cli, protocol
+from dcqd.codes import build_s1
 
 
 def run_cli(argv, capsys):
@@ -519,6 +521,20 @@ def test_selftest_passes(capsys):
         assert len(slopes) == 2 and all(abs(s - weight) < 0.15 for s in slopes)
 
 
+def test_slope_check_fails_an_s1_without_detectors(monkeypatch):
+    # with no detector generators s1 filters nothing: its oracle's leading
+    # weight is 1 and its slopes read 0.954 and 0.982, which a check
+    # against the oracle's own weight would pass
+    bare = dataclasses.replace(build_s1(), detection_prefix=0)
+    for module in (cli, protocol):
+        monkeypatch.setattr(module, "build_s1", lambda: bare)
+    report = []
+    check = dict(cli._selftest_checks(report))["chi error slope vs leading failure weight"]
+    problem = check()
+    assert problem is not None and problem.startswith("s1_noisy:")
+    assert "leading failure weight 1," in report[-1]
+
+
 def test_module_entry_point():
     import os
     import subprocess
@@ -537,3 +553,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "II, 000000" in proc.stdout
+
+
+def test_selftest_passes_on_a_kernel_without_fma():
+    # OPENBLAS_CORETYPE=Prescott picks an SSE3 kernel, which any x86-64
+    # host has; the exact pins hold only under AVX-512 kernels, but the
+    # shipped self-check must not depend on them
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcqd", "selftest"], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("ok: ") == 8

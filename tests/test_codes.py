@@ -12,12 +12,12 @@ from dcqd.codes import (
     build_s1,
     build_s422,
     codeword_state,
-    destabilizers,
     located_error_table,
+    syndrome_basis,
     syndrome_of_error,
 )
-from dcqd.pauli import commutes, parse_pauli, single_site, to_matrix
-from oracles import located_hamming_bound, qec_condition_matrix
+from dcqd.pauli import commutes, parse_pauli, single_site
+from oracles import located_hamming_bound, qec_condition_matrix, to_matrix
 
 S1_GENERATORS = ("IIXXXX", "IIZZZZ", "XIXXII", "ZIZIZI", "IXIXIX", "IZIIZZ")
 S1_SUPPORT = {
@@ -170,12 +170,26 @@ def test_located_table_s0_uses_every_syndrome():
     assert ints == set(range(16))
 
 
-def test_destabilizers_flip_single_bits():
+def test_syndrome_basis_rows_carry_their_syndrome_signs():
+    # g_j b_s = (-1)^(bit j of s) b_s, the first generator the most
+    # significant bit, checked on the dense generator matrices
     for code in (build_s0(), build_s1()):
-        ds = destabilizers(code)
-        assert len(ds) == code.r
-        for j, d in enumerate(ds):
-            assert syndrome_of_error(code, d) == 1 << (code.r - 1 - j)
+        basis = syndrome_basis(code)
+        assert basis.shape == (2 ** code.r, 2 ** code.n)
+        for j, g in enumerate(code.generators):
+            signs = 1 - 2 * ((np.arange(2 ** code.r) >> (code.r - 1 - j)) & 1)
+            assert np.allclose(basis @ to_matrix(g).T, signs[:, None] * basis, atol=1e-12)
+
+
+def test_syndrome_basis_needs_k0_and_shares_the_codeword():
+    with pytest.raises(UnsupportedCodeError):
+        syndrome_basis(build_s422())
+    for code in (build_s0(), build_s1()):
+        basis = syndrome_basis(code)
+        assert syndrome_basis(code) is basis
+        assert codeword_state(code).tobytes() == basis[0].tobytes()
+        with pytest.raises(ValueError):
+            basis[1, 0] = 0.0
 
 
 def test_qec_condition_located_errors_orthogonal():

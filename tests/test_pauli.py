@@ -7,8 +7,10 @@ is re-derived from literal 2^n x 2^n numpy matrices.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dcqd.pauli as pl
+from oracles import MAX_DENSE_QUBITS, MatrixSizeError, to_matrix
 
 LETTERS = "IXYZ"
 
@@ -23,7 +25,7 @@ def test_identity_letters_and_matrix():
     op = pl.identity(3)
     assert op.letters == "III"
     assert op.phase == 0
-    assert np.array_equal(pl.to_matrix(op), np.eye(8))
+    assert np.array_equal(to_matrix(op), np.eye(8))
 
 
 def test_single_site_letters():
@@ -81,8 +83,8 @@ def test_multiply_matches_matrix_oracle(rng):
         a = random_pauli(rng, n)
         b = random_pauli(rng, n)
         prod = pl.multiply(a, b)
-        direct = pl.to_matrix(a) @ pl.to_matrix(b)
-        assert np.allclose(pl.to_matrix(prod), direct, atol=1e-12)
+        direct = to_matrix(a) @ to_matrix(b)
+        assert np.allclose(to_matrix(prod), direct, atol=1e-12)
 
 
 def test_multiply_dimension_mismatch():
@@ -95,7 +97,7 @@ def test_commutes_matches_matrix_oracle(rng):
         n = int(rng.integers(1, 5))
         a = random_pauli(rng, n)
         b = random_pauli(rng, n)
-        ma, mb = pl.to_matrix(a), pl.to_matrix(b)
+        ma, mb = to_matrix(a), to_matrix(b)
         assert pl.commutes(a, b) == bool(np.allclose(ma @ mb, mb @ ma, atol=1e-12))
 
 
@@ -105,12 +107,12 @@ def test_tensor_matches_kron(rng):
         b = random_pauli(rng, int(rng.integers(1, 4)))
         t = pl.tensor(a, b)
         assert t.n == a.n + b.n
-        assert np.allclose(pl.to_matrix(t), np.kron(pl.to_matrix(a), pl.to_matrix(b)), atol=1e-12)
+        assert np.allclose(to_matrix(t), np.kron(to_matrix(a), to_matrix(b)), atol=1e-12)
 
 
 def test_site_one_is_most_significant():
     # X on site 1 of two sites flips the HIGH-order qubit
-    m = pl.to_matrix(pl.single_site(2, 1, "X"))
+    m = to_matrix(pl.single_site(2, 1, "X"))
     vec = np.zeros(4)
     vec[0b00] = 1.0
     assert np.argmax(np.abs(m @ vec)) == 0b10
@@ -130,9 +132,24 @@ def test_phase_prefix_formatting():
 
 
 def test_to_matrix_size_guard():
-    big = pl.identity(pl.MAX_DENSE_QUBITS + 1)
-    with pytest.raises(pl.MatrixSizeError):
-        pl.to_matrix(big)
+    big = pl.identity(MAX_DENSE_QUBITS + 1)
+    with pytest.raises(MatrixSizeError):
+        to_matrix(big)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.text(LETTERS, min_size=1, max_size=6), st.integers(0, 3))
+def test_monomial_is_the_dense_matrix(letters, phase):
+    # the same bytes in column perm[i] of row i, and exact zeros elsewhere
+    body = pl.parse_pauli(letters)
+    op = pl.PauliOperator(body.n, body.x, body.z, phase)
+    dense = to_matrix(op)
+    perm, coef = pl.monomial(op)
+    rows = np.arange(len(dense))
+    assert dense[rows, perm].tobytes() == coef.tobytes()
+    off = np.ones(dense.shape, dtype=bool)
+    off[rows, perm] = False
+    assert not dense[off].any() and coef.all()
 
 
 def test_symplectic_vector_layout():
@@ -150,7 +167,7 @@ def test_pauli_matrices_are_read_only():
     def readers():
         channel = depolarizing(0.1, 1, 1)
         block = apply_single_qubit_block(theoretical_chi_ad(0.4), rho)
-        return pl.to_matrix(pl.parse_pauli("X")), channel.perm, channel.coef, block
+        return to_matrix(pl.parse_pauli("X")), channel.perm, channel.coef, block
 
     before = readers()
     for matrix in pl.PAULI_MATRICES.values():

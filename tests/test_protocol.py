@@ -20,7 +20,7 @@ from dcqd.channels import (
     pauli_unitary_channel,
     theoretical_chi_ad,
 )
-from dcqd.codes import build_s0, build_s1
+from dcqd.codes import build_s0, build_s1, located_error_table
 from dcqd.config import ExperimentConfig
 from dcqd.pauli import single_site
 from dcqd.process_matrix import BASIS_INDEX
@@ -39,12 +39,14 @@ from dcqd.protocol import (
 )
 from dcqd.rng import sample_counts
 from oracles import (
+    ancilla_syndrome_words,
     dense_syndrome_probs,
     loop_chi_estimate,
     loop_histogram_jsonable,
     preprocessing_unitary,
     run_shot,
     shot_stream,
+    to_matrix,
 )
 
 
@@ -90,7 +92,7 @@ def test_preprocessing_unitary_is_unitary():
             u = preprocessing_unitary(code, j)
             assert np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
             # (1 + iF)/sqrt(2) squares to iF
-            f = protocol._located_matrices_embedded(code)[j]
+            f = to_matrix(located_error_table(code)[j][1])
             assert np.allclose(u @ u, 1j * f, atol=1e-12)
 
 
@@ -188,6 +190,53 @@ def test_setting_distributions_sum_to_one():
         assert probs.shape[0] == len(outcomes)
         assert probs.min() >= 0.0
         assert abs(probs.sum() - 1.0) < 1e-10
+
+
+def _exact_distributions(scenario: str, gamma: float, p: float = 0.0):
+    """The code and all 31 exact setting distributions of a scenario,
+    their rows stacked in standard_settings() order."""
+    code, channel = resolve_scenario(ExperimentConfig(scenario=scenario, gamma=gamma, p=p))
+    rho = apply_channel(channel, prepare_probe(code))
+    return code, np.concatenate([setting_distribution(rho, op, code)[1] for op in standard_settings()])
+
+
+def ancilla_syndrome_law(code, p: float) -> np.ndarray:
+    """q[e]: the probability that depolarizing p on every ancilla site
+    leaves syndrome e, by XOR of the single-letter words site by site."""
+    q = np.zeros(2 ** code.r)
+    q[0] = 1.0
+    syndromes = np.arange(2 ** code.r)
+    for words in ancilla_syndrome_words(code):
+        step = (1.0 - p) * q
+        for word in words:
+            step[syndromes ^ word] += (p / 3.0) * q
+        q = step
+    return q
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.4, 1.0])
+def test_ancilla_noise_xor_convolves_the_clean_syndromes(gamma):
+    # depolarized ancillas are a mixture of Paulis E on sites that no
+    # setting touches, and E moves syndrome row s to s ^ syn(E): so each
+    # noisy distribution is the clean one XOR-convolved with q, and with
+    # clean ancillas s1 records at its located syndromes what s0 records
+    # at its own.  The two sides round differently; each probability is a
+    # sum of at most 64 rounded terms no larger than 1 (measured gaps up
+    # to 1.0e-15 and 3.9e-16).  1e-14 is ten times that, and far below
+    # the share of clean mass a misplaced weight-1 syndrome would move,
+    # (p/3)(1 - p)^(a - 1) >= 1.6e-3 at p = 0.005.
+    tol = 1e-14
+    for noisy_scenario, clean_scenario in (("s0_noisy", "clean"), ("s1_noisy", "s1_clean")):
+        code, clean = _exact_distributions(clean_scenario, gamma)
+        flips = np.arange(2 ** code.r)[:, None] ^ np.arange(2 ** code.r)
+        for p in (0.005, 0.1, 0.5):
+            _, noisy = _exact_distributions(noisy_scenario, gamma, p)
+            assert np.abs(noisy - clean[:, flips] @ ancilla_syndrome_law(code, p)).max() < tol
+    s0, clean_s0 = _exact_distributions("clean", gamma)
+    s1, clean_s1 = _exact_distributions("s1_clean", gamma)
+    relabelled = np.zeros_like(clean_s1)
+    relabelled[:, [s for _, _, s in located_error_table(s1)]] = clean_s0[:, [s for _, _, s in located_error_table(s0)]]
+    assert np.abs(clean_s1 - relabelled).max() < tol
 
 
 def test_noiseless_run_gives_trivial_syndrome():
