@@ -4,7 +4,9 @@ Two jobs live here:
 
 * scoring a reconstructed process matrix against the closed-form
   amplitude-damping answer, via state fidelity of the channel outputs on
-  a fixed input;
+  |0><0|, itself in closed form: both outputs are 2x2 and the reference
+  one is pure, so the score needs no eigendecomposition and no BLAS or
+  LAPACK call;
 * quantifying how often ancilla depolarizing noise corrupts the syndrome
   record, both by exhaustive enumeration of all ancilla Pauli errors
   (exact rational coefficients) and by Monte-Carlo simulation.
@@ -26,12 +28,10 @@ from itertools import product
 
 import numpy as np
 
-from .channels import theoretical_chi_ad
 from .codes import StabilizerCode, build_s1, syndrome_of_error
 from .pauli import PAULI_MATRICES, PauliOperator
 from .process_matrix import ProcessMatrix
 from .rng import sample_counts
-from .states import InvalidStateError
 
 __all__ = [
     "FidelityResult",
@@ -47,7 +47,6 @@ __all__ = [
     "chi_distance_report",
 ]
 
-FIDELITY_EIG_TOL = 1e-9
 SEVERE_NEGATIVE_EIG = 1e-3
 _SWEEP_STREAM_TAG = 0x4641494C
 
@@ -59,36 +58,6 @@ class FidelityResult:
     value: float
     input_state: str
     compared: tuple
-
-
-def _clamped_psd(matrix: np.ndarray, tol: float) -> np.ndarray:
-    """Eigenvalue-clamped PSD version of a Hermitian matrix.
-
-    Eigenvalues in [-tol, 0) are set to zero; anything lower raises.
-    """
-    herm = (matrix + matrix.conj().T) / 2.0
-    vals, vecs = np.linalg.eigh(herm)
-    if vals[0] < -tol:
-        raise InvalidStateError(f"eigenvalue {vals[0]} below -{tol}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.conj().T
-
-
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(matrix)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _fidelity_core(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace norm of sqrt(a) sqrt(b) for PSD matrices.
-
-    Equals the trace of the square root of sqrt(a) b sqrt(a), symmetric
-    in its arguments, and well defined even when one argument carries
-    less than unit trace.
-    """
-    overlap = _psd_sqrt(a) @ _psd_sqrt(b)
-    return float(np.linalg.norm(overlap, ord="nuc"))
 
 
 def apply_single_qubit_block(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
@@ -112,29 +81,40 @@ def apply_single_qubit_block(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
 def channel_fidelity_vs_theory(chi_hat: ProcessMatrix, gamma: float) -> FidelityResult:
     """Fidelity of the estimated channel against the damping closed form.
 
-    Both single-qubit-block maps act on |0><0| and the outputs are
-    compared by the trace-norm fidelity.  The estimated output has its
-    negative eigenvalues clamped to zero (a dip below -1e-3 warns) and
-    keeps a trace deficit, so both syndrome-record corruption inside the
-    block and mass scattered outside it lower the score.  Excess trace,
-    which finite-shot noise and the clamping can produce, is scaled
-    away: by Cauchy-Schwarz the score then never exceeds one.
+    Both single-qubit-block maps act on |0><0|.  Damping leaves |0><0|
+    fixed, so the reference output is that pure state and the fidelity of
+    an output c against it is sqrt(c_00).  The estimated output
+    [[a, c], [c*, d]] has eigenvalues (a + d)/2 +- sqrt(((a - d)/2)^2 +
+    |c|^2); a negative lower one is clamped to zero (a dip below -1e-3
+    warns), which leaves lam_+ times its eigenprojector, with 00 entry
+    lam_+ (lam_+ - d) / (lam_+ - lam_-) and trace lam_+.  The trace
+    deficit stays, so both syndrome-record corruption inside the block
+    and mass scattered outside it lower the score.  Excess trace, which
+    finite-shot noise and the clamping can produce, is scaled away, so
+    the score sqrt(c_00 / max(1, tr c)) never exceeds one.  No step
+    calls BLAS or LAPACK, so the score has the same bits on every kernel.
     """
-    rho_in = np.diag([1.0, 0.0]).astype(np.complex128)
-    raw = apply_single_qubit_block(chi_hat, rho_in)
-    vals, vecs = np.linalg.eigh(raw)
-    if vals[0] < -SEVERE_NEGATIVE_EIG:
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+    out = apply_single_qubit_block(chi_hat, np.diag([1.0, 0.0]).astype(np.complex128))
+    a, d, c = out[0, 0].real, out[1, 1].real, out[0, 1]
+    mid = (a + d) / 2.0
+    radius = math.sqrt(((a - d) / 2.0) ** 2 + c.real**2 + c.imag**2)
+    low, high = mid - radius, mid + radius
+    if low < -SEVERE_NEGATIVE_EIG:
         warnings.warn(
-            f"clamping severely negative output eigenvalue {vals[0]:.3e}; "
+            f"clamping severely negative output eigenvalue {low:.3e}; "
             "the estimate is dominated by sampling noise",
             stacklevel=2,
         )
-    cleaned = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    cleaned = cleaned / max(1.0, cleaned.trace().real)
-    reference = apply_single_qubit_block(theoretical_chi_ad(gamma), rho_in)
-    value = _fidelity_core(cleaned, _clamped_psd(reference, FIDELITY_EIG_TOL))
+    if high <= 0.0:
+        top, trace = 0.0, 1.0
+    elif low < 0.0:
+        top, trace = high * (high - d) / (high - low), high
+    else:
+        top, trace = a, a + d
     return FidelityResult(
-        value=value,
+        value=math.sqrt(max(top, 0.0) / max(1.0, trace)),
         input_state="|0><0|",
         compared=("estimated", f"amplitude_damping(gamma={gamma})"),
     )

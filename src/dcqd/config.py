@@ -95,6 +95,16 @@ def settings_hash(values: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
+def _object_without_repeats(pairs) -> dict:
+    # json.loads keeps the last of a repeated key, so {"shots": 2000,
+    # "shots": 3000} would run 3000 shots without a word
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ConfigError(f"repeats the keys {repeated}")
+    return dict(pairs)
+
+
 def load_config_file(path) -> dict:
     try:
         with open(path) as fh:
@@ -102,9 +112,11 @@ def load_config_file(path) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except ConfigError as exc:
+        raise ConfigError(f"config file {path} {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return doc

@@ -6,7 +6,10 @@
 * the dense matrix of a Pauli operator, which the monomial form of
   :func:`dcqd.pauli.monomial` must reproduce bit for bit;
 * small dense-state helpers (basis states, unitaries, measurement,
-  expectation values, partial trace, state fidelity);
+  expectation values, partial trace, state fidelity by eigendecomposed
+  square roots and a nuclear norm);
+* the fidelity score by LAPACK, which the closed form of
+  :func:`dcqd.analysis.channel_fidelity_vs_theory` must match;
 * the dense Kraus matrices of a channel and the dense sum of K rho K^dag;
 * the dense einsum of every syndrome-row quadratic form, which the
   row-block gather of :func:`dcqd.protocol.setting_distribution` must
@@ -36,7 +39,8 @@ import numpy as np
 
 from dcqd import channels as channels_mod
 from dcqd import pauli
-from dcqd.analysis import FIDELITY_EIG_TOL, _clamped_psd, _fidelity_core
+from dcqd.analysis import apply_single_qubit_block
+from dcqd.channels import theoretical_chi_ad
 from dcqd.codes import (
     StabilizerCode,
     codeword_state,
@@ -47,7 +51,7 @@ from dcqd.pauli import PAULI_MATRICES, PauliOperator, single_site
 from dcqd.process_matrix import BASIS_INDEX, ProcessMatrix, basis_paulis
 from dcqd.protocol import PreprocessingKind, PreprocessingOp, syndrome_basis
 from dcqd.rng import scoped_generator
-from dcqd.states import ContractViolationError, DensityMatrix
+from dcqd.states import ContractViolationError, DensityMatrix, InvalidStateError
 
 UNITARITY_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
@@ -57,6 +61,7 @@ IMPOSSIBLE_BRANCH_TOL = 1e-12
 
 
 MAX_DENSE_QUBITS = 8
+FIDELITY_EIG_TOL = 1e-9
 
 
 class ImpossibleOutcomeError(RuntimeError):
@@ -184,6 +189,36 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(len(keep_sites), arr.reshape(d, d))
 
 
+def _clamped_psd(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Eigenvalue-clamped PSD version of a Hermitian matrix.
+
+    Eigenvalues in [-tol, 0) are set to zero; anything lower raises.
+    """
+    herm = (matrix + matrix.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(herm)
+    if vals[0] < -tol:
+        raise InvalidStateError(f"eigenvalue {vals[0]} below -{tol}")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * vals) @ vecs.conj().T
+
+
+def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(matrix)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def _fidelity_core(a: np.ndarray, b: np.ndarray) -> float:
+    """Trace norm of sqrt(a) sqrt(b) for PSD matrices.
+
+    Equals the trace of the square root of sqrt(a) b sqrt(a), symmetric
+    in its arguments, and well defined even when one argument carries
+    less than unit trace.
+    """
+    overlap = _psd_sqrt(a) @ _psd_sqrt(b)
+    return float(np.linalg.norm(overlap, ord="nuc"))
+
+
 def fidelity(rho, sigma) -> float:
     """State fidelity: the trace norm of sqrt(rho) sqrt(sigma).
 
@@ -199,6 +234,20 @@ def fidelity(rho, sigma) -> float:
         clean = _clamped_psd(state, FIDELITY_EIG_TOL)
         mats.append(clean / clean.trace().real)
     return _fidelity_core(mats[0], mats[1])
+
+
+def eigh_channel_fidelity(chi_hat: ProcessMatrix, gamma: float) -> float:
+    """The score of :func:`dcqd.analysis.channel_fidelity_vs_theory` by
+    LAPACK: both outputs on |0><0| from the single-qubit block, the
+    estimate's negative eigenvalues clamped by ``eigh`` and its excess
+    trace scaled away, the reference clamped as a state, and the
+    trace-norm fidelity of their square roots."""
+    rho_in = np.diag([1.0, 0.0]).astype(np.complex128)
+    vals, vecs = np.linalg.eigh(apply_single_qubit_block(chi_hat, rho_in))
+    cleaned = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    cleaned = cleaned / max(1.0, cleaned.trace().real)
+    reference = apply_single_qubit_block(theoretical_chi_ad(gamma), rho_in)
+    return _fidelity_core(cleaned, _clamped_psd(reference, FIDELITY_EIG_TOL))
 
 
 # ---------------------------------------------------------------- dense channels

@@ -23,6 +23,7 @@ from dcqd.process_matrix import BASIS_INDEX, ProcessMatrix
 from dcqd.protocol import characterize, estimate_offdiagonal, prepare_probe, run_setting, standard_settings
 from dcqd.states import DensityMatrix, InvalidStateError
 from oracles import basis_state, fidelity, to_matrix, xor_failure_tallies
+from oracles import eigh_channel_fidelity as oracle_score
 
 
 def test_fidelity_identical_states():
@@ -307,6 +308,25 @@ def test_channel_fidelity_excess_trace_does_not_lift_score_above_one():
     assert abs(channel_fidelity_vs_theory(inflated, 0.4).value - 1.0) < 1e-12
     chi = characterize(ExperimentConfig(scenario="clean", shots=10_000, seed=7)).chi
     assert channel_fidelity_vs_theory(chi, 0.4).value <= 1.0 + 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:clamping severely negative")
+def test_fidelity_score_calls_no_lapack(monkeypatch):
+    # the score is closed-form, so no kernel's rounding reaches it
+    exact = characterize(ExperimentConfig(scenario="s1_noisy", backend="exact")).chi
+    sampled = characterize(ExperimentConfig(scenario="s0_noisy", shots=2000, seed=3)).chi
+    expected = [oracle_score(chi, 0.4) for chi in (exact, sampled)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fidelity score called numpy.linalg")
+
+    for name in ("eigh", "eigvalsh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    scores = [channel_fidelity_vs_theory(chi, 0.4).value for chi in (exact, sampled)]
+    assert np.allclose(scores, expected, rtol=0.0, atol=1e-14)
+    for gamma in (-0.1, 1.1):
+        with pytest.raises(ValueError, match="gamma"):
+            channel_fidelity_vs_theory(exact, gamma)
 
 
 def test_failure_oracle_is_frozen_dataclass():

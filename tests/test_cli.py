@@ -172,6 +172,23 @@ def test_bad_config_file_exits_two(payload, capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["characterize", "failure-sweep"])
 @pytest.mark.parametrize(
+    "text",
+    ['{"shots": 2000, "shots": 3000}', '{"seed": 5, "seed": 6}'],
+    ids=["shots-twice", "seed-twice"],
+)
+def test_repeated_config_key_exits_two(command, text, capsys, tmp_path):
+    # a JSON parser keeps the last of a repeated key, which would run
+    # 3000 shots or seed 6 without a word
+    cfg = tmp_path / "settings.json"
+    cfg.write_text(text)
+    code, out, err = run_cli([command, "--config", str(cfg), "--out", str(tmp_path / "r")], capsys)
+    assert code == 2
+    assert "configuration error" in err and "repeats the keys" in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["characterize", "failure-sweep"])
+@pytest.mark.parametrize(
     "flag",
     [["--shots", str(2**63)], ["--seed", str(2**64 + 5)]],
     ids=["shots-2^63", "seed-2^64+5"],
@@ -248,7 +265,7 @@ PINNED_EXACT_FILES = {
 # record, which the settings-only pin in test_protocol.py does not see
 PINNED_SAMPLED_FILES = {
     "histograms.json": "9b12b6342eac922b2c33eb25886b2761b274ea31e71f5b1485f548f76cff6f36",
-    "fidelity.json": "7cbc68e97d0399dfad7bfe48be501bfb8260379e023c79873bbaa2c37d4c0d8b",
+    "fidelity.json": "d886af4f93ddca8d84a06afdedf7670747bb23301a2e7fd3e1c8f7573cad00dd",
     "chi_real.csv": "40dcf4cd7f27e1a7c929eaf142a1f1b9271355a8bc9fb58ba4c37a573410c104",
     "chi_imag.csv": "427a06db7314763918371684ca6b2b18f3a86a78a058453aff179085cd89e3a0",
     "chi_diff_vs_theory.csv": "86bf3ca17643f5c44b0537968f52f9c7b6cda50cc645e9bbfb76d0450f3ebda5",
@@ -308,6 +325,28 @@ def test_exact_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
 def test_sampled_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
     argv = ["characterize", "--scenario", "s1_noisy", "--seed", "7", "--shots", "200000"]
     assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_SAMPLED_FILES)
+    for name, digest in PINNED_SAMPLED_FILES.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_sampled_output_files_are_pinned_on_a_kernel_without_fma(tmp_path):
+    # OPENBLAS_CORETYPE=Prescott picks an SSE3 kernel without FMA; a
+    # sampled run calls BLAS only in the U-setting sandwiches, whose
+    # rounding moves no drawn count here, and scores without LAPACK, so
+    # all six files keep their bytes
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=src)
+    argv = ["characterize", "--scenario", "s1_noisy", "--seed", "7", "--shots", "200000", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dcqd", *argv], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_SAMPLED_FILES)
     for name, digest in PINNED_SAMPLED_FILES.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

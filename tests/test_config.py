@@ -94,6 +94,11 @@ def test_load_config_file(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ConfigError):
         load_config_file(arr)
+    # json.loads alone keeps the last of a repeated key
+    twice = tmp_path / "twice.json"
+    twice.write_text('{"shots": 2000, "shots": 3000}')
+    with pytest.raises(ConfigError, match="repeats the keys"):
+        load_config_file(twice)
 
 
 def test_config_is_immutable():

@@ -1,5 +1,6 @@
 """Property tests over random configurations, seeds and noise."""
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from dcqd.analysis import (
     _SWEEP_STREAM_TAG,
+    SEVERE_NEGATIVE_EIG,
     channel_fidelity_vs_theory,
     failure_oracle,
 )
@@ -23,6 +25,7 @@ from dcqd.channels import (
 from dcqd.codes import build_s0, build_s1, syndrome_of_error
 from dcqd.config import SCENARIOS, ExperimentConfig
 from dcqd.pauli import commutes, multiply, parse_pauli
+from dcqd.process_matrix import BASIS_INDEX, ProcessMatrix
 from dcqd.protocol import (
     _syndrome_probs,
     characterize,
@@ -40,6 +43,7 @@ from oracles import (
     dense_kraus,
     dense_setting_distribution,
     dense_syndrome_probs,
+    eigh_channel_fidelity,
     kraus_chi,
 )
 
@@ -69,6 +73,59 @@ def test_channel_fidelity_lies_in_unit_interval(scenario, shots, seed):
     config = ExperimentConfig(scenario=scenario, shots=shots, seed=seed)
     value = channel_fidelity_vs_theory(characterize(config).chi, config.gamma).value
     assert -1e-12 <= value <= 1.0 + 1e-12
+
+
+# eigenvalue ranges (lam_-, lam_+) of each branch of the closed-form score,
+# kept 1e-9 off the branch edges so rounding cannot move a draw across
+SCORE_BRANCHES = {
+    "no clamp": ((1e-9, 0.5), (1e-9, 0.5)),
+    "trace above one": ((1e-9, 0.75), (0.5 + 1e-9, 1.5)),
+    "clamp, mild": ((-SEVERE_NEGATIVE_EIG + 1e-9, -1e-9), (1e-9, 1.5)),
+    "clamp, severe": ((-1.0, -SEVERE_NEGATIVE_EIG - 1e-9), (1e-9, 1.5)),
+    "both at most zero": ((-1.5, -1e-9), (-1.5, -1e-9)),
+}
+
+
+@pytest.mark.parametrize("branch", SCORE_BRANCHES)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    theta=st.floats(0.0, np.pi),
+    phi=st.floats(0.0, 2.0 * np.pi),
+    gamma=st.floats(0.0, 1.0),
+)
+def test_closed_form_fidelity_matches_the_lapack_score(branch, data, theta, phi, gamma):
+    (lo_min, lo_max), (hi_min, hi_max) = SCORE_BRANCHES[branch]
+    lo = data.draw(st.floats(lo_min, lo_max), label="lam_-")
+    hi = data.draw(st.floats(max(hi_min, lo), hi_max), label="lam_+")
+    if branch == "trace above one":
+        hi = max(hi, 1.0 + 1e-9 - lo)
+    # the output lam_+ |v><v| + lam_- |w><w|, placed in chi so that the
+    # single-qubit block maps |0><0| to it: I|0> = |0> and X|0> = |1>
+    v = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+    w = np.array([-np.exp(-1j * phi) * np.sin(theta / 2), np.cos(theta / 2)])
+    out = hi * np.outer(v, v.conj()) + lo * np.outer(w, w.conj())
+    ii, xi = BASIS_INDEX["II"], BASIS_INDEX["XI"]
+    chi = np.zeros((16, 16), dtype=np.complex128)
+    chi[ii, ii], chi[xi, xi] = out[0, 0].real, out[1, 1].real
+    chi[ii, xi], chi[xi, ii] = out[0, 1], np.conj(out[0, 1])
+    chi = ProcessMatrix(chi)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = channel_fidelity_vs_theory(chi, gamma).value
+    reference = eigh_channel_fidelity(chi, gamma)
+    # the score squared is c_00 / max(1, tr c) of an output whose entries
+    # are at most 1.5: a few rounded steps in the closed form, a backward
+    # stable eigh, two 2x2 products and an SVD in the reference, each off
+    # by a few eps; 20,000 random draws differed by at most 1.2e-15, and
+    # a wrong branch formula moves it by far more than 1e-14 (the score
+    # itself can differ by 1e-13 where it is near zero, through the root)
+    assert 0.0 <= value <= 1.0
+    assert abs(value**2 - reference**2) <= 1e-14
+    if branch == "both at most zero":
+        assert value == reference == 0.0
+    assert bool(caught) == (lo < -SEVERE_NEGATIVE_EIG)
+    assert all("severely negative" in str(c.message) for c in caught)
 
 
 @st.composite
