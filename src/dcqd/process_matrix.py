@@ -55,6 +55,8 @@ class ProcessMatrix:
         arr = np.array(self.data, dtype=np.complex128)
         if arr.shape != (16, 16):
             raise ValueError(f"expected shape (16, 16), got {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("chi matrix entries must be finite")
         if np.max(np.abs(arr - arr.conj().T)) > HERMITICITY_TOL:
             raise ValueError("chi matrix must be Hermitian within 1e-10")
         arr.setflags(write=False)

@@ -44,6 +44,13 @@ def test_process_matrix_requires_hermitian():
     bad[0, 1] = 1.0
     with pytest.raises(ValueError):
         ProcessMatrix(bad)
+    # a NaN compares false with every bound, so the closed-form score
+    # would turn it into a NaN fidelity
+    for value in (np.nan, np.inf):
+        bad = np.zeros((16, 16), dtype=complex)
+        bad[2, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            ProcessMatrix(bad)
 
 
 def test_process_matrix_entry_by_label_and_index():
