@@ -3,7 +3,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,15 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv, **env):
+    """``python -m dcqd`` in a child process that imports the package
+    under test, with ``env`` added to the environment."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "dcqd", *argv], capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_table_prints_rows_and_passes(capsys, tmp_path):
@@ -322,12 +335,18 @@ def test_exact_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, (scenario, name)
 
 
-def test_sampled_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
-    argv = ["characterize", "--scenario", "s1_noisy", "--seed", "7", "--shots", "200000"]
-    assert run_cli(argv + ["--out", str(tmp_path)], capsys)[0] == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_SAMPLED_FILES)
+PINNED_SAMPLED_ARGV = ["characterize", "--scenario", "s1_noisy", "--seed", "7", "--shots", "200000"]
+
+
+def assert_sampled_files_pinned(out):
+    assert sorted(p.name for p in out.iterdir()) == sorted(PINNED_SAMPLED_FILES)
     for name, digest in PINNED_SAMPLED_FILES.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_sampled_output_files_are_pinned_byte_for_byte(capsys, tmp_path):
+    assert run_cli(PINNED_SAMPLED_ARGV + ["--out", str(tmp_path)], capsys)[0] == 0
+    assert_sampled_files_pinned(tmp_path)
 
 
 def test_sampled_output_files_are_pinned_on_a_kernel_without_fma(tmp_path):
@@ -335,21 +354,9 @@ def test_sampled_output_files_are_pinned_on_a_kernel_without_fma(tmp_path):
     # sampled run calls BLAS only in the U-setting sandwiches, whose
     # rounding moves no drawn count here, and scores without LAPACK, so
     # all six files keep their bytes
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=src)
-    argv = ["characterize", "--scenario", "s1_noisy", "--seed", "7", "--shots", "200000", "--out", str(tmp_path)]
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcqd", *argv], capture_output=True, text=True, timeout=120, env=env
-    )
+    proc = run_module(PINNED_SAMPLED_ARGV + ["--out", str(tmp_path)], OPENBLAS_CORETYPE="Prescott")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(PINNED_SAMPLED_FILES)
-    for name, digest in PINNED_SAMPLED_FILES.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert_sampled_files_pinned(tmp_path)
 
 
 # sha256 of the failure_sweep.csv data rows (comment and column header
@@ -575,21 +582,7 @@ def test_slope_check_fails_an_s1_without_detectors(monkeypatch):
 
 
 def test_module_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # the child imports the same package the tests import
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcqd", "table"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=env,
-    )
+    proc = run_module(["table"])
     assert proc.returncode == 0
     assert "II, 000000" in proc.stdout
 
@@ -598,15 +591,6 @@ def test_selftest_passes_on_a_kernel_without_fma():
     # OPENBLAS_CORETYPE=Prescott picks an SSE3 kernel, which any x86-64
     # host has; the exact pins hold only under AVX-512 kernels, but the
     # shipped self-check must not depend on them
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "dcqd", "selftest"], capture_output=True, text=True, timeout=120, env=env
-    )
+    proc = run_module(["selftest"], OPENBLAS_CORETYPE="Prescott")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("ok: ") == 8
