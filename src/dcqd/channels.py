@@ -18,7 +18,7 @@ from math import sqrt
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliOperator, monomial
+from .pauli import PauliOperator, monomial, single_site
 from .process_matrix import BASIS_INDEX, ProcessMatrix
 from .states import ContractViolationError, DensityMatrix
 
@@ -83,20 +83,16 @@ def _flat_columns(perm: np.ndarray) -> np.ndarray:
     return perm + np.arange(0, m * dim, dim)[:, None]
 
 
-def _monomial(ops) -> tuple:
-    """(perm, coef) of a stack of square operators, one nonzero per row at most."""
-    ops = np.asarray(ops, dtype=np.complex128)
-    if np.any(np.count_nonzero(ops, axis=-1) > 1):
-        raise ContractViolationError("Kraus operator has two nonzero entries in one row")
-    perm = np.argmax(ops != 0, axis=-1)
-    return perm, np.take_along_axis(ops, perm[..., None], axis=-1)[..., 0]
+def _on_site(perm, coef, site: int, n: int, label: str) -> QuantumChannel:
+    """Channel applying 2x2 factors at a 1-based site, site 1 most significant.
 
-
-def _on_site(factors, site: int, n: int, label: str) -> QuantumChannel:
-    """Channel applying 2x2 Kraus ``factors`` at a 1-based site, site 1 most significant."""
+    ``perm`` and ``coef`` are (m, 2) tables in monomial form: factor a
+    maps column ``perm[a, i]`` to row i with weight ``coef[a, i]``.
+    """
     if not 1 <= site <= n:
         raise ValueError(f"site {site} out of range 1..{n}")
-    perm, coef = _monomial(factors)
+    perm = np.asarray(perm, dtype=np.intp)
+    coef = np.asarray(coef, dtype=np.complex128)
     shift = n - site
     rows = np.arange(2 ** n)
     bit = (rows >> shift) & 1
@@ -111,28 +107,29 @@ def _on_site(factors, site: int, n: int, label: str) -> QuantumChannel:
 def amplitude_damping(gamma: float, site: int, n: int) -> QuantumChannel:
     """Energy relaxation with decay probability gamma on one site.
 
-    Kraus pair: K0 = (1 + sqrt(1-gamma))/2 * I + (1 - sqrt(1-gamma))/2 * Z
+    Kraus pair: K0 = diag(1, sqrt(1-gamma)) and K1 = sqrt(gamma) |0><1|,
+    that is K0 = (1 + sqrt(1-gamma))/2 * I + (1 - sqrt(1-gamma))/2 * Z
     and K1 = sqrt(gamma) (X + iY)/2.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    root = sqrt(1.0 - gamma)
-    k0 = np.array([[1.0, 0.0], [0.0, root]], dtype=np.complex128)
-    k1 = np.array([[0.0, sqrt(gamma)], [0.0, 0.0]], dtype=np.complex128)
-    return _on_site((k0, k1), site, n, f"AD(gamma={gamma:g}, site={site})")
+    coef = ((1.0, sqrt(1.0 - gamma)), (sqrt(gamma), 0.0))
+    return _on_site(((0, 1), (1, 0)), coef, site, n, f"AD(gamma={gamma:g}, site={site})")
 
 
 def depolarizing(p: float, site: int, n: int) -> QuantumChannel:
     """Uniform Pauli noise: keep with 1-p, else X, Y or Z with p/3 each."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    kraus = (
-        sqrt(1.0 - p) * PAULI_MATRICES["I"],
-        sqrt(p / 3.0) * PAULI_MATRICES["X"],
-        sqrt(p / 3.0) * PAULI_MATRICES["Y"],
-        sqrt(p / 3.0) * PAULI_MATRICES["Z"],
+    weights = (sqrt(1.0 - p),) + (sqrt(p / 3.0),) * 3
+    factors = [monomial(single_site(1, 1, letter)) for letter in "IXYZ"]
+    return _on_site(
+        [perm for perm, _ in factors],
+        [w * coef for w, (_, coef) in zip(weights, factors)],
+        site,
+        n,
+        f"DP(p={p:g}, site={site})",
     )
-    return _on_site(kraus, site, n, f"DP(p={p:g}, site={site})")
 
 
 def identity_channel(n: int) -> QuantumChannel:

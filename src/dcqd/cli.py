@@ -205,12 +205,11 @@ def cmd_characterize(args) -> int:
 
 def cmd_failure_sweep(args) -> int:
     config = _build_config(args, SWEEP_KEYS)
+    # float rejects an empty or blank entry, so "0.1,,0.2" cannot run two points
     try:
-        p_values = [float(tok) for tok in args.p_values.split(",") if tok.strip()]
+        p_values = [float(tok) for tok in args.p_values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"p-values must be comma-separated reals: {exc}") from exc
-    if not p_values:
-        raise ConfigError("p-values grid is empty")
     # the negated range test also rejects nan
     outside = [p for p in p_values if not 0.0 <= p <= 1.0]
     if outside:

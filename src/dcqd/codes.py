@@ -156,21 +156,18 @@ def build_s422() -> StabilizerCode:
 
 
 def _map_outer_generator(g: PauliOperator, n_principal: int, inner: StabilizerCode) -> PauliOperator:
-    """Rewrite an outer generator with its ancilla letters replaced by
-    inner-code logical operators."""
-    principal = parse_pauli(g.letters[:n_principal]) if n_principal else None
-    inner_part = identity(inner.n)
-    for ordinal, letter in enumerate(g.letters[n_principal:]):
-        if letter == "I":
-            continue
-        if letter == "X":
-            inner_part = multiply(inner_part, inner.logical_x[ordinal])
-        elif letter == "Z":
-            inner_part = multiply(inner_part, inner.logical_z[ordinal])
-        else:  # Y = i XZ on the logical qubit
-            prod = multiply(inner.logical_x[ordinal], inner.logical_z[ordinal])
-            inner_part = multiply(inner_part, PauliOperator(prod.n, prod.x, prod.z, (prod.phase + 1) % 4))
-    mapped = tensor(principal, inner_part) if principal is not None else inner_part
+    """Rewrite an outer generator with each ancilla letter, i^(xz) X^x Z^z
+    for bits (x, z), replaced by i^(xz) Xbar^x Zbar^z on its logical qubit
+    of the inner code."""
+    ancilla = tuple(zip(g.x[n_principal:], g.z[n_principal:]))
+    mapped = PauliOperator(inner.n, (0,) * inner.n, (0,) * inner.n, sum(xb * zb for xb, zb in ancilla))
+    for (xb, zb), logical_x, logical_z in zip(ancilla, inner.logical_x, inner.logical_z):
+        if xb:
+            mapped = multiply(mapped, logical_x)
+        if zb:
+            mapped = multiply(mapped, logical_z)
+    if n_principal:
+        mapped = tensor(PauliOperator(n_principal, g.x[:n_principal], g.z[:n_principal]), mapped)
     if mapped.phase != 0:
         raise CodeConstructionError(f"mapped generator {mapped} acquired a phase")
     return mapped

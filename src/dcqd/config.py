@@ -26,16 +26,6 @@ SCENARIOS = {
 }
 BACKENDS = ("sampling", "exact")
 
-DEFAULTS = {
-    "scenario": "s1_noisy",
-    "gamma": 0.4,
-    "p": 0.1,
-    "shots": 100_000,
-    "seed": 1234,
-    "backend": "sampling",
-}
-
-
 # the multinomial sampler takes shots as a C long, and the random streams
 # keep 64 bits of each scope part, so a larger seed would alias a smaller one
 _MAX_SHOTS = 2**63 - 1
@@ -48,12 +38,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    scenario: str = DEFAULTS["scenario"]
-    gamma: float = DEFAULTS["gamma"]
-    p: float = DEFAULTS["p"]
-    shots: int = DEFAULTS["shots"]
-    seed: int = DEFAULTS["seed"]
-    backend: str = DEFAULTS["backend"]
+    scenario: str = "s1_noisy"
+    gamma: float = 0.4
+    p: float = 0.1
+    shots: int = 100_000
+    seed: int = 1234
+    backend: str = "sampling"
 
     def __post_init__(self):
         for name, integral in (("gamma", False), ("p", False), ("shots", True), ("seed", True)):
@@ -87,6 +77,9 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Short digest of the canonical JSON form, stamped on outputs."""
         return settings_hash(self.to_dict())
+
+
+DEFAULTS = ExperimentConfig().to_dict()
 
 
 def settings_hash(values: dict) -> str:

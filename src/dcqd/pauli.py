@@ -7,7 +7,8 @@ An n-qubit Pauli operator is stored as two length-n bit vectors ``x`` and
 
 where the letter on each site is fixed by the bit pair (x_q, z_q):
 (0,0) -> I, (1,0) -> X, (1,1) -> Y, (0,1) -> Z.  The letter Y means the
-Hermitian Pauli matrix, not the product XZ.
+Hermitian Pauli matrix, not the product XZ: the letter with bits (x, z)
+is i**(x*z) X**x Z**z, which is how ``multiply`` reads it.
 
 Sites are numbered 1..n in every public API.  Site 1 is the leftmost
 letter in string form and the most significant tensor factor in matrix
@@ -35,7 +36,6 @@ __all__ = [
     "identity",
     "single_site",
     "parse_pauli",
-    "format_pauli",
     "multiply",
     "commutes",
     "tensor",
@@ -46,14 +46,6 @@ __all__ = [
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
-
-# Single-site products a*b = i**t * c, keyed by (a, b) -> (c, t).
-_SITE_PRODUCT = {
-    ("I", "I"): ("I", 0), ("I", "X"): ("X", 0), ("I", "Y"): ("Y", 0), ("I", "Z"): ("Z", 0),
-    ("X", "I"): ("X", 0), ("X", "X"): ("I", 0), ("X", "Y"): ("Z", 1), ("X", "Z"): ("Y", 3),
-    ("Y", "I"): ("Y", 0), ("Y", "X"): ("Z", 3), ("Y", "Y"): ("I", 0), ("Y", "Z"): ("X", 1),
-    ("Z", "I"): ("Z", 0), ("Z", "X"): ("Y", 1), ("Z", "Y"): ("X", 3), ("Z", "Z"): ("I", 0),
-}
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=np.complex128),
@@ -109,10 +101,11 @@ class PauliOperator:
         return np.array(self.x + self.z, dtype=np.uint8)
 
     def __str__(self) -> str:
-        return format_pauli(self)
+        """Canonical string: phase prefix from {'', 'i', '-', '-i'} plus letters."""
+        return _PHASE_PREFIX[self.phase] + self.letters
 
     def __repr__(self) -> str:
-        return f"PauliOperator({format_pauli(self)!r})"
+        return f"PauliOperator({str(self)!r})"
 
 
 def identity(n: int) -> PauliOperator:
@@ -161,26 +154,19 @@ def parse_pauli(text: str) -> PauliOperator:
     return PauliOperator(len(body), tuple(x), tuple(z), phase)
 
 
-def format_pauli(op: PauliOperator) -> str:
-    """Canonical string: phase prefix from {'', 'i', '-', '-i'} plus letters."""
-    return _PHASE_PREFIX[op.phase] + op.letters
-
-
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Group product a*b with exact phase tracking."""
     if a.n != b.n:
         raise DimensionMismatchError(f"cannot multiply operators on {a.n} and {b.n} sites")
-    phase = a.phase + b.phase
-    x, z = [], []
-    for q in range(a.n):
-        la = _BITS_LETTER[(a.x[q], a.z[q])]
-        lb = _BITS_LETTER[(b.x[q], b.z[q])]
-        lc, t = _SITE_PRODUCT[(la, lb)]
-        phase += t
-        xb, zb = _LETTER_BITS[lc]
-        x.append(xb)
-        z.append(zb)
-    return PauliOperator(a.n, tuple(x), tuple(z), phase % 4)
+    x = tuple(x1 ^ x2 for x1, x2 in zip(a.x, b.x))
+    z = tuple(z1 ^ z2 for z1, z2 in zip(a.z, b.z))
+    # per site, i^(x1 z1) X^x1 Z^z1 * i^(x2 z2) X^x2 Z^z2 = i^(x1 z1 + x2 z2 + 2 z1 x2) X^x3 Z^z3,
+    # since Z^z1 X^x2 = (-1)^(z1 x2) X^x2 Z^z1, and X^x3 Z^z3 = i^(-x3 z3) times the letter
+    phase = a.phase + b.phase + sum(
+        x1 * z1 + x2 * z2 - x3 * z3 + 2 * z1 * x2
+        for x1, z1, x2, z2, x3, z3 in zip(a.x, a.z, b.x, b.z, x, z)
+    )
+    return PauliOperator(a.n, x, z, phase % 4)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:

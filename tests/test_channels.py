@@ -5,7 +5,6 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dcqd import channels
 from dcqd.channels import (
     QuantumChannel,
     amplitude_damping,
@@ -17,7 +16,7 @@ from dcqd.channels import (
     pauli_unitary_channel,
     theoretical_chi_ad,
 )
-from dcqd.pauli import parse_pauli, single_site
+from dcqd.pauli import PAULI_MATRICES, parse_pauli, single_site
 from dcqd.process_matrix import BASIS_INDEX
 from dcqd.states import ContractViolationError, DensityMatrix
 from oracles import apply_process, basis_state, dense_kraus, partial_trace
@@ -100,17 +99,21 @@ def test_site_lift_matches_kron_embedding():
                 assert np.array_equal(kron_embed(k, site, n), big)
 
 
+def test_single_site_factors_are_the_textbook_kraus_operators():
+    for s in (0.0, 1 / 3, 0.4, 1.0):
+        k0 = np.diag([1.0, np.sqrt(1 - s)])
+        k1 = np.array([[0.0, np.sqrt(s)], [0.0, 0.0]])
+        assert np.array_equal(dense_kraus(amplitude_damping(s, 1, 1)), [k0, k1])
+        paulis = [np.sqrt(1 - s) * PAULI_MATRICES["I"]]
+        paulis += [np.sqrt(s / 3) * PAULI_MATRICES[letter] for letter in "XYZ"]
+        assert np.array_equal(dense_kraus(depolarizing(s, 1, 1)), paulis)
+
+
 def test_compose_matches_dense_products_exactly():
     outer = amplitude_damping(0.4, 2, 3)
     inner = compose(depolarizing(0.3, 1, 3), pauli_unitary_channel(parse_pauli("YZX")))
     dense = [a @ b for a in dense_kraus(outer) for b in dense_kraus(inner)]
     assert np.array_equal(dense_kraus(compose(outer, inner)), np.array(dense))
-
-
-def test_constructor_rejects_two_nonzeros_in_a_row():
-    shear = np.array([[0.6, 0.8], [0.0, 1.0]], dtype=np.complex128)
-    with pytest.raises(ContractViolationError):
-        channels._on_site((shear,), 1, 2, "shear")
 
 
 def test_constructor_rejects_non_trace_preserving_sets():

@@ -426,6 +426,15 @@ def test_failure_sweep_rejects_grid_outside_unit_interval(bad, capsys, tmp_path)
     assert not (tmp_path / "failure_sweep.csv").exists()
 
 
+@pytest.mark.parametrize("grid", ["0.1,,0.2", "0.1,0.2,", " ,0.1"])
+def test_failure_sweep_rejects_empty_grid_entries(grid, capsys, tmp_path):
+    argv = ["failure-sweep", "--p-values", grid, "--shots", "2000", "--out", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "configuration error" in err and "p-values" in err
+    assert not (tmp_path / "failure_sweep.csv").exists()
+
+
 @pytest.mark.parametrize(
     "flag", [["--gamma", "0.5"], ["--p", "0.3"], ["--backend", "exact"], ["--workers", "2"]]
 )

@@ -5,6 +5,8 @@ independent dense-matrix oracle: every algebraic identity asserted here
 is re-derived from literal 2^n x 2^n numpy matrices.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,13 +80,18 @@ def test_single_site_product_table():
 
 
 def test_multiply_matches_matrix_oracle(rng):
+    # every 1- and 2-qubit pair with every phase, then random draws up to
+    # n = 4; the entries are 0, +-1 and +-i, so the products are exact
+    pairs = []
+    for n in (1, 2):
+        bits = list(product((0, 1), repeat=n))
+        ops = [pl.PauliOperator(n, x, z, phase) for x in bits for z in bits for phase in range(4)]
+        pairs += product(ops, repeat=2)
     for _ in range(150):
         n = int(rng.integers(1, 5))
-        a = random_pauli(rng, n)
-        b = random_pauli(rng, n)
-        prod = pl.multiply(a, b)
-        direct = to_matrix(a) @ to_matrix(b)
-        assert np.allclose(to_matrix(prod), direct, atol=1e-12)
+        pairs.append((random_pauli(rng, n), random_pauli(rng, n)))
+    for a, b in pairs:
+        assert np.array_equal(to_matrix(pl.multiply(a, b)), to_matrix(a) @ to_matrix(b))
 
 
 def test_multiply_dimension_mismatch():
