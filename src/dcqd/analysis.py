@@ -34,7 +34,6 @@ from .process_matrix import ProcessMatrix
 from .rng import sample_counts
 
 __all__ = [
-    "FidelityResult",
     "FailureOracle",
     "FailureRateReport",
     "ChiDistance",
@@ -51,13 +50,6 @@ SEVERE_NEGATIVE_EIG = 1e-3
 _SWEEP_STREAM_TAG = 0x4641494C
 
 _LETTER_BITS = {"X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-
-
-@dataclass(frozen=True)
-class FidelityResult:
-    value: float
-    input_state: str
-    compared: tuple
 
 
 def apply_single_qubit_block(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
@@ -78,7 +70,7 @@ def apply_single_qubit_block(chi: ProcessMatrix, rho: np.ndarray) -> np.ndarray:
     return (out + out.conj().T) / 2.0
 
 
-def channel_fidelity_vs_theory(chi_hat: ProcessMatrix, gamma: float) -> FidelityResult:
+def channel_fidelity_vs_theory(chi_hat: ProcessMatrix, gamma: float) -> float:
     """Fidelity of the estimated channel against the damping closed form.
 
     Both single-qubit-block maps act on |0><0|.  Damping leaves |0><0|
@@ -113,11 +105,7 @@ def channel_fidelity_vs_theory(chi_hat: ProcessMatrix, gamma: float) -> Fidelity
         top, trace = high * (high - d) / (high - low), high
     else:
         top, trace = a, a + d
-    return FidelityResult(
-        value=math.sqrt(max(top, 0.0) / max(1.0, trace)),
-        input_state="|0><0|",
-        compared=("estimated", f"amplitude_damping(gamma={gamma})"),
-    )
+    return math.sqrt(max(top, 0.0) / max(1.0, trace))
 
 
 def binomial_weight_probability(p: float, j: int, sites: int) -> float:

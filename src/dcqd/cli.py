@@ -24,6 +24,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -86,6 +87,29 @@ def _golden_table_text() -> str:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@lru_cache(maxsize=8)
+def _json_keys(outcomes: tuple, columns: int) -> tuple:
+    """JSON key of every histogram cell, row-major: the syndrome's bits,
+    prefixed by ``+1|`` or ``-1|`` on projective rows."""
+    length = int(np.log2(columns))
+    bits = [format(s, f"0{length}b") for s in range(columns)]
+    return tuple(b if outcome == 0 else f"{outcome:+d}|{b}" for outcome in outcomes for b in bits)
+
+
+def _histogram_doc(hist) -> dict:
+    """One setting's entry in histograms.json: its nonzero cells, and
+    every whole number written as an int."""
+    keys = _json_keys(hist.outcomes, hist.counts.shape[1])
+    cells = enumerate(hist.counts.ravel().tolist())
+    table = {keys[cell]: v if v != int(v) else int(v) for cell, v in cells if v}
+    return {
+        "setting": hist.setting.label,
+        "total": hist.total if hist.total != int(hist.total) else int(hist.total),
+        "accepted": hist.accepted if hist.accepted != int(hist.accepted) else int(hist.accepted),
+        "counts": table,
+    }
 
 
 # each flat counts dict sits three levels deep in histograms.json
@@ -186,28 +210,29 @@ def cmd_characterize(args) -> int:
             "p": config.p,
             "shots": config.shots,
             "backend": config.backend,
-            "fidelity": fid.value,
-            "input_state": fid.input_state,
-            "compared": list(fid.compared),
+            "fidelity": fid,
+            "input_state": "|0><0|",
+            "compared": ["estimated", f"amplitude_damping(gamma={config.gamma})"],
             "max_abs_diff_vs_theory": diff.max_abs,
         },
     )
-    settings = [h.to_jsonable() for h in result.histograms]
+    settings = [_histogram_doc(h) for h in result.histograms]
     payload = {"config": config.config_hash(), "seed": config.seed, "settings": settings}
     (out / "histograms.json").write_text(_histograms_text(payload))
     _write_json(
         out / "effective_config.json",
         dict(config.to_dict(), config_hash=config.config_hash()),
     )
-    print(f"scenario {config.scenario}: fidelity vs theory = {fid.value:.6f}")
+    print(f"scenario {config.scenario}: fidelity vs theory = {fid:.6f}")
     return 0
 
 
 def cmd_failure_sweep(args) -> int:
     config = _build_config(args, SWEEP_KEYS)
-    # float rejects an empty or blank entry, so "0.1,,0.2" cannot run two points
+    # float rejects an empty or blank entry, so "0.1,,0.2" cannot run two
+    # points; + 0.0 turns -0.0 into 0.0, so "-0" records the run "0" does
     try:
-        p_values = [float(tok) for tok in args.p_values.split(",")]
+        p_values = [float(tok) + 0.0 for tok in args.p_values.split(",")]
     except ValueError as exc:
         raise ConfigError(f"p-values must be comma-separated reals: {exc}") from exc
     # the negated range test also rejects nan
@@ -337,7 +362,7 @@ def _selftest_checks(report: list):
                 cfg = ExperimentConfig(scenario=scenario, gamma=0.4, p=p, shots=1, backend="exact")
                 chi = characterize(cfg).chi
                 errors.append(chi_distance_report(chi, theory).max_abs)
-                infidelities.append(1.0 - channel_fidelity_vs_theory(chi, 0.4).value)
+                infidelities.append(1.0 - channel_fidelity_vs_theory(chi, 0.4))
             slopes = {"max|chi - chi_AD|": loglog_slope(grid, errors), "1 - F": loglog_slope(grid, infidelities)}
             report.append(
                 f"  {scenario}: leading failure weight {w_min}, log-log slopes "

@@ -88,9 +88,16 @@ class StabilizerCode:
                     raise CodeConstructionError(
                         f"generators {gens[a]} and {gens[b]} anticommute"
                     )
-        rows = np.array([g.symplectic() for g in gens], dtype=np.uint8)
-        if gens and len(_gf2_eliminate(rows, rows.shape[1])) != len(gens):
-            raise CodeConstructionError("generators are not independent over GF(2)")
+        # each [x | z] row as an int; a kept row is clear at the leading bits
+        # of the rows kept before it, so only a product of them reduces to 0
+        pivots = []
+        for g in gens:
+            row = int("".join(map(str, g.x + g.z)), 2)
+            for pivot in pivots:
+                row = min(row, row ^ pivot)
+            if not row:
+                raise CodeConstructionError(f"generator {g} is not independent of the ones before it")
+            pivots.append(row)
         if not 0 <= self.n_principal <= self.n:
             raise CodeConstructionError(f"n_principal={self.n_principal} outside 0..{self.n}")
         if not 0 <= self.detection_prefix <= len(gens):
@@ -112,23 +119,6 @@ class StabilizerCode:
         """The detector-prefix bits of a syndrome int (or integer array);
         zero means the round is accepted."""
         return syndrome >> (self.r - self.detection_prefix)
-
-
-def _gf2_eliminate(m: np.ndarray, cols: int) -> list:
-    """Reduce the first ``cols`` columns of ``m`` to reduced row echelon
-    form over GF(2), in place, and return the pivot columns."""
-    pivots = []
-    for col in range(cols):
-        rank = len(pivots)
-        pivot = next((r for r in range(rank, m.shape[0]) if m[r, col]), None)
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(m.shape[0]):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        pivots.append(col)
-    return pivots
 
 
 def build_s0() -> StabilizerCode:
@@ -196,11 +186,11 @@ def concatenate_ancilla(outer: StabilizerCode, inner: StabilizerCode) -> Stabili
         tensor(identity(n_principal), g) if n_principal else g for g in inner.generators
     )
 
+    # by the first principal site a generator acts on, the X-type one first
     def sort_key(g: PauliOperator):
-        principal_support = sorted(s for s in pauli.support(g) if s <= n_principal)
-        first = principal_support[0] if principal_support else n_principal + 1
-        has_x = any(g.x[s - 1] for s in principal_support)
-        return (first, 0 if has_x else 1)
+        acts = [xb | zb for xb, zb in zip(g.x[:n_principal], g.z[:n_principal])]
+        first = acts.index(1) if 1 in acts else n_principal
+        return (first, 0 if any(g.x[:n_principal]) else 1)
 
     mapped = [
         _map_outer_generator(g, n_principal, inner)

@@ -66,8 +66,9 @@ class ExperimentConfig:
             raise ConfigError(f"seed must lie in [0, 2^64 - 1], got {self.seed}")
         if self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "p", float(self.p))
+        # + 0.0 turns -0.0 into 0.0, which would otherwise hash as another run
+        object.__setattr__(self, "gamma", float(self.gamma) + 0.0)
+        object.__setattr__(self, "p", float(self.p) + 0.0)
         object.__setattr__(self, "shots", int(self.shots))
         object.__setattr__(self, "seed", int(self.seed))
 

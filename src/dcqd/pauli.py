@@ -39,7 +39,6 @@ __all__ = [
     "multiply",
     "commutes",
     "tensor",
-    "support",
     "monomial",
 ]
 
@@ -95,10 +94,6 @@ class PauliOperator:
     @property
     def letters(self) -> str:
         return "".join(_BITS_LETTER[(xb, zb)] for xb, zb in zip(self.x, self.z))
-
-    def symplectic(self) -> np.ndarray:
-        """Concatenated [x | z] row over GF(2)."""
-        return np.array(self.x + self.z, dtype=np.uint8)
 
     def __str__(self) -> str:
         """Canonical string: phase prefix from {'', 'i', '-', '-i'} plus letters."""
@@ -181,11 +176,6 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
 def tensor(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Tensor product with a on the left (lower site numbers)."""
     return PauliOperator(a.n + b.n, a.x + b.x, a.z + b.z, (a.phase + b.phase) % 4)
-
-
-def support(a: PauliOperator) -> frozenset:
-    """1-based sites carrying a non-identity letter."""
-    return frozenset(q + 1 for q in range(a.n) if a.x[q] or a.z[q])
 
 
 def monomial(op: PauliOperator) -> tuple:

@@ -140,29 +140,6 @@ class SyndromeHistogram:
         if arr.ndim != 2 or arr.shape[0] != len(self.outcomes):
             raise ValueError("counts must have one row per outcome")
 
-    def to_jsonable(self) -> dict:
-        keys = _json_keys(self.outcomes, self.counts.shape[1])
-        table = {
-            keys[cell]: v if v != int(v) else int(v)
-            for cell, v in enumerate(self.counts.ravel().tolist())
-            if v
-        }
-        return {
-            "setting": self.setting.label,
-            "total": self.total if self.total != int(self.total) else int(self.total),
-            "accepted": self.accepted if self.accepted != int(self.accepted) else int(self.accepted),
-            "counts": table,
-        }
-
-
-@lru_cache(maxsize=8)
-def _json_keys(outcomes: tuple, columns: int) -> tuple:
-    """JSON key of every histogram cell, row-major: the syndrome's bits,
-    prefixed by ``+1|`` or ``-1|`` on projective rows."""
-    length = int(np.log2(columns))
-    bits = [format(s, f"0{length}b") for s in range(columns)]
-    return tuple(b if outcome == 0 else f"{outcome:+d}|{b}" for outcome in outcomes for b in bits)
-
 
 @dataclass(frozen=True)
 class CharacterizationResult:

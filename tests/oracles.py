@@ -15,8 +15,7 @@
   row-block gather of :func:`dcqd.protocol.setting_distribution` must
   reproduce bit for bit;
 * the cell-by-cell JSON form of a syndrome histogram, which the cached
-  key table of :meth:`dcqd.protocol.SyndromeHistogram.to_jsonable` must
-  reproduce exactly;
+  key table of :func:`dcqd.cli._histogram_doc` must reproduce exactly;
 * the operator-sum evaluation of a process matrix, the chi of a set of
   two-qubit Kraus operators by projection on the Pauli basis, and the
   chi estimate by one element at a time, which the array form of
@@ -315,8 +314,8 @@ def dense_setting_distribution(rho: DensityMatrix, op: PreprocessingOp, code: St
     return (1, -1), np.stack(rows)
 
 
-def loop_histogram_jsonable(hist) -> dict:
-    """``SyndromeHistogram.to_jsonable`` by one format call per cell."""
+def loop_histogram_doc(hist) -> dict:
+    """``cli._histogram_doc`` by one format call per cell."""
     length = int(np.log2(hist.counts.shape[1]))
     table = {}
     for row, outcome in enumerate(hist.outcomes):

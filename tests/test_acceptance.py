@@ -98,8 +98,8 @@ def test_criterion_3_exact_backend_recovers_theory():
 def test_criterion_4_fidelity_separation_under_ancilla_noise():
     result_s1 = characterize(config_for("s1_noisy", ACCEPTANCE_SHOTS))
     result_s0 = characterize(config_for("s0_noisy", ACCEPTANCE_SHOTS))
-    f_s1 = channel_fidelity_vs_theory(result_s1.chi, 0.4).value
-    f_s0 = channel_fidelity_vs_theory(result_s0.chi, 0.4).value
+    f_s1 = channel_fidelity_vs_theory(result_s1.chi, 0.4)
+    f_s0 = channel_fidelity_vs_theory(result_s0.chi, 0.4)
     assert abs(f_s1 - 0.9884) < 0.01 * TOL_SCALE
     assert abs(f_s0 - 0.9165) < 0.015 * TOL_SCALE
     assert f_s1 - f_s0 >= 0.05 / TOL_SCALE
@@ -151,8 +151,8 @@ def test_criterion_8_reproducible_and_worker_invariant():
     config = config_for("s1_noisy", shots)
     first = characterize(config)
     second = characterize(config)
-    f1 = channel_fidelity_vs_theory(first.chi, 0.4).value
-    f2 = channel_fidelity_vs_theory(second.chi, 0.4).value
+    f1 = channel_fidelity_vs_theory(first.chi, 0.4)
+    f2 = channel_fidelity_vs_theory(second.chi, 0.4)
     assert f1 == f2
     assert np.array_equal(first.chi.data, second.chi.data)
     for ha, hb in zip(first.histograms, second.histograms):

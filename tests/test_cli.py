@@ -13,6 +13,8 @@ import pytest
 
 from dcqd import cli, protocol
 from dcqd.codes import build_s1
+from dcqd.config import ExperimentConfig
+from oracles import loop_histogram_doc
 
 
 def run_cli(argv, capsys):
@@ -249,6 +251,24 @@ def test_failure_sweep_zero_point(capsys, tmp_path):
     assert float(zero_row[6]) == 0.0  # analytic
     p1_row = lines[3].split(",")
     assert abs(float(p1_row[6]) - 0.017025925925925927) < 1e-15
+    # a negative zero names the same grid, so it writes the same files
+    signed = tmp_path / "signed"
+    argv = ["failure-sweep", "--p-values=-0,0.1", "--shots", "20000", "--seed", "3", "--out", str(signed)]
+    assert run_cli(argv, capsys)[0] == 0
+    for name in ("failure_sweep.csv", "effective_config.json"):
+        assert (signed / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flag", ["--gamma", "--p"])
+def test_negative_zero_strength_is_the_zero_run(flag, capsys, tmp_path):
+    # -0.0 == 0.0, so a "-0" must not hash, record or print as another run
+    argv = ["characterize", "--scenario", "s1_noisy", "--backend", "exact"]
+    for value in ("0", "-0"):
+        assert run_cli([*argv, flag, value, "--out", str(tmp_path / value)], capsys)[0] == 0
+    names = sorted(f.name for f in (tmp_path / "0").iterdir())
+    assert len(names) == 6
+    for name in names:
+        assert (tmp_path / "-0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes(), name
 
 
 # sha256 of whole output files for
@@ -320,10 +340,35 @@ def test_histograms_writer_matches_on_histogram_documents():
         SyndromeHistogram(PreprocessingOp(PreprocessingKind.IDENTITY), (0,), [[0.0] * 4], 0.0, 0.0),
         SyndromeHistogram(projective, (1, -1), [[2.0**60, 0.0, 3.0, 0.25], [0.0, 1e-17, 0.0, 7.0]], 2.0**60, 10.25),
     ]
-    payload = {"config": "0123abcd", "seed": 0, "settings": [h.to_jsonable() for h in hists]}
+    payload = {"config": "0123abcd", "seed": 0, "settings": [cli._histogram_doc(h) for h in hists]}
     assert payload["settings"][0]["counts"] == {}
     assert payload["settings"][1]["counts"]["+1|00"] == 2**60
     assert cli._histograms_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_histogram_bookkeeping():
+    result = protocol.characterize(ExperimentConfig(scenario="s0_noisy", shots=10_000))
+    assert len(result.histograms) == 31
+    assert [h.setting.label for h in result.histograms] == [op.label for op in protocol.standard_settings()]
+    # the probe code has no detection prefix, so nothing is rejected
+    assert all(abs(h.accepted / h.total - 1.0) < 1e-12 for h in result.histograms)
+    hist = result.histograms[0]
+    assert hist.total == 10_000
+    doc = cli._histogram_doc(hist)
+    assert doc["setting"] == "I"
+    assert doc["total"] == 10_000
+
+
+@pytest.mark.parametrize("backend, shots", [("exact", 1), ("sampling", 20_000)], ids=["exact", "sampling"])
+@pytest.mark.parametrize("scenario", ["s0_noisy", "s1_noisy"])
+def test_histogram_json_matches_cell_by_cell_reference(scenario, backend, shots):
+    config = ExperimentConfig(scenario=scenario, backend=backend, shots=shots)
+    result = protocol.characterize(config)
+    assert {h.outcomes for h in result.histograms} == {(0,), (1, -1)}
+    for hist in result.histograms:
+        got, want = cli._histogram_doc(hist), loop_histogram_doc(hist)
+        assert got == want
+        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_exact_output_files_are_pinned_byte_for_byte(capsys, tmp_path):

@@ -87,13 +87,24 @@ def test_principal_block_must_fit_the_register(n_principal):
         StabilizerCode(label="bad", n=2, generators=(parse_pauli("XX"),), n_principal=n_principal)
 
 
-def test_dependent_generators_are_rejected():
-    # pairwise commuting, but YYYY is the product XXXX ZZZZ up to phase
+@pytest.mark.parametrize(
+    "letters",
+    [
+        # YYYY is the product XXXX ZZZZ up to phase
+        ("XXXX", "ZZZZ", "YYYY"),
+        # no two are equal and no pair multiplies to a third, but
+        # XXII IXXI IIXX = XIIX
+        ("XXII", "IXXI", "IIXX", "XIIX"),
+    ],
+    ids=["pair-product", "three-term-product"],
+)
+def test_dependent_generators_are_rejected(letters):
+    # every pair commutes, so only the independence check can refuse them
     with pytest.raises(CodeConstructionError, match="not independent"):
         StabilizerCode(
             label="dep",
             n=4,
-            generators=tuple(parse_pauli(s) for s in ("XXXX", "ZZZZ", "YYYY")),
+            generators=tuple(parse_pauli(s) for s in letters),
             n_principal=0,
         )
 

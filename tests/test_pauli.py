@@ -33,7 +33,6 @@ def test_identity_letters_and_matrix():
 def test_single_site_letters():
     op = pl.single_site(4, 2, "Y")
     assert op.letters == "IYII"
-    assert len(pl.support(op)) == 1
 
 
 def test_parse_format_round_trip(rng):
@@ -125,12 +124,6 @@ def test_site_one_is_most_significant():
     assert np.argmax(np.abs(m @ vec)) == 0b10
 
 
-def test_weight_and_support():
-    op = pl.parse_pauli("XIYZ")
-    assert len(pl.support(op)) == 3
-    assert pl.support(op) == frozenset({1, 3, 4})
-
-
 def test_phase_prefix_formatting():
     op = pl.parse_pauli("iXY")
     assert str(op) == "iXY"
@@ -157,12 +150,6 @@ def test_monomial_is_the_dense_matrix(letters, phase):
     off = np.ones(dense.shape, dtype=bool)
     off[rows, perm] = False
     assert not dense[off].any() and coef.all()
-
-
-def test_symplectic_vector_layout():
-    op = pl.parse_pauli("XZ")
-    vec = op.symplectic()
-    assert list(vec) == [1, 0, 0, 1]
 
 
 def test_pauli_matrices_are_read_only():

@@ -71,7 +71,7 @@ def oracle_of(build):
 )
 def test_channel_fidelity_lies_in_unit_interval(scenario, shots, seed):
     config = ExperimentConfig(scenario=scenario, shots=shots, seed=seed)
-    value = channel_fidelity_vs_theory(characterize(config).chi, config.gamma).value
+    value = channel_fidelity_vs_theory(characterize(config).chi, config.gamma)
     assert -1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -112,7 +112,7 @@ def test_closed_form_fidelity_matches_the_lapack_score(branch, data, theta, phi,
     chi = ProcessMatrix(chi)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = channel_fidelity_vs_theory(chi, gamma).value
+        value = channel_fidelity_vs_theory(chi, gamma)
     reference = eigh_channel_fidelity(chi, gamma)
     # the score squared is c_00 / max(1, tr c) of an output whose entries
     # are at most 1.5: a few rounded steps in the closed form, a backward

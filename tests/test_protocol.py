@@ -42,7 +42,6 @@ from oracles import (
     ancilla_syndrome_words,
     dense_syndrome_probs,
     loop_chi_estimate,
-    loop_histogram_jsonable,
     preprocessing_unitary,
     run_shot,
     shot_stream,
@@ -489,31 +488,6 @@ def test_exact_backend_is_pinned(scenario, tmp_path):
     settings = json.loads((tmp_path / "histograms.json").read_text())["settings"]
     digest.update(json.dumps(settings, sort_keys=True).encode())
     assert digest.hexdigest() == PINNED_EXACT_P01[scenario]
-
-
-def test_histogram_bookkeeping():
-    config = make_config(shots=10_000, scenario="s0_noisy")
-    result = characterize(config)
-    assert len(result.histograms) == 31
-    assert [h.setting.label for h in result.histograms] == [op.label for op in standard_settings()]
-    # the probe code has no detection prefix, so nothing is rejected
-    assert all(abs(h.accepted / h.total - 1.0) < 1e-12 for h in result.histograms)
-    hist = result.histograms[0]
-    assert hist.total == 10_000
-    doc = hist.to_jsonable()
-    assert doc["setting"] == "I"
-    assert doc["total"] == 10_000
-
-
-@pytest.mark.parametrize("backend, shots", [("exact", 1), ("sampling", 20_000)], ids=["exact", "sampling"])
-@pytest.mark.parametrize("scenario", ["s0_noisy", "s1_noisy"])
-def test_histogram_json_matches_cell_by_cell_reference(scenario, backend, shots):
-    result = characterize(make_config(scenario=scenario, backend=backend, shots=shots))
-    assert {h.outcomes for h in result.histograms} == {(0,), (1, -1)}
-    for hist in result.histograms:
-        got, want = hist.to_jsonable(), loop_histogram_jsonable(hist)
-        assert got == want
-        assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_s1_scenario_rejects_some_shots():

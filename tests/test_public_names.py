@@ -1,15 +1,19 @@
-"""The names the package exports and the benchmark traces must exist.
+"""The names the package exports, documents and the benchmark traces
+must exist.
 
 ``perfbench/run.py`` patches public dcqd functions by name during a
 traced pass; a deleted or renamed target would only fail there, so its
 target list is built here too, and small passes of both benchmarked
 workloads must reach every span a pass needs.  A call that bypassed a
-traced name would otherwise read as a zero per-layer metric.
+traced name would otherwise read as a zero per-layer metric.  The
+README's python blocks run as written, so its example cannot drift from
+the API either.
 """
 
 import importlib
 import importlib.util
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -18,6 +22,7 @@ import pytest
 import dcqd
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = PERFBENCH.parent / "README.md"
 
 
 def load_by_path(name: str, path: Path):
@@ -55,6 +60,14 @@ def test_package_root_exports_are_pinned():
         "ProcessMatrix",
         "__version__",
     }
+
+
+def test_readme_python_blocks_run():
+    # the README's library example is the documented API, so it must run
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
 
 
 @pytest.fixture
